@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage or unsupported input, 3 invariant violation
 detected by an audit.  Output is byte-identical for identical (command,
-config, seed); `--threads N` must and does match `--threads 1`.
+config, seed).  `--threads` is accepted and ignored; every command runs
+serially.
 
 Defaults come from, in increasing precedence: built-ins, a flat key=value
 config file (`--config`), the SKALAB_SEED environment variable (seed only),
@@ -12,6 +13,7 @@ explicit flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -21,7 +23,6 @@ from .finite_field import field_for_size
 from .halving_walk import ESTIMATOR_IDS, get_estimator, halve
 from .incidence_graph import (
     BoundReport,
-    SubgraphQuery,
     build_plane_graph,
     dense_subgraph_search,
     sdz_report,
@@ -31,7 +32,9 @@ from .reporting import canonical_json, envelope, render_csv
 from .ska_protocol import run_session, secrecy_audit
 from .subplane_cover import baer_subplane, build_cover
 
+FORMATS = ("json", "csv")
 STRATEGIES = ("exhaustive", "greedy-peel", "local-swap")
+NO_EFFECT = "no effect; kept for compatibility (runs are serial)"
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -48,30 +51,41 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args, key: str, cast, fallback):
-    """flag > config file > (SKALAB_SEED for seed) > built-in default."""
+def _resolve(args, key: str, cast, fallback, choices=None):
+    """flag > config file > (SKALAB_SEED for seed) > built-in default.
+
+    Config and environment values get the checks argparse gives flags.
+    """
     flag_value = getattr(args, key.replace("-", "_"), None)
     if flag_value is not None:
         return flag_value
-    if args.config_values and key in args.config_values:
-        return cast(args.config_values[key])
-    if key == "seed":
-        env = os.environ.get("SKALAB_SEED")
-        if env is not None:
-            return cast(env)
-    return fallback
+    raw = args.config_values.get(key)
+    if raw is None and key == "seed":
+        raw = os.environ.get("SKALAB_SEED")
+    if raw is None:
+        return fallback
+    try:
+        value = cast(raw)
+    except ValueError:
+        raise SkalabError(f"invalid {key} value {raw!r}") from None
+    if choices is not None and value not in choices:
+        raise SkalabError(f"{key} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _emit(args, text: str) -> None:
     if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SkalabError(f"cannot write output: {exc}") from exc
 
 
 def cmd_plane(args) -> int:
-    fmt = _resolve(args, "format", str, "json")
+    fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
     plane = enumerate_plane(args.q)
     config = {"command": "plane", "q": args.q, "format": fmt, "seed": seed,
@@ -99,11 +113,10 @@ def cmd_plane(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    fmt = _resolve(args, "format", str, "csv")
+    fmt = _resolve(args, "format", str, "csv", FORMATS)
     seed = _resolve(args, "seed", int, 0)
-    strategy = _resolve(args, "strategy", str, "greedy-peel")
+    strategy = _resolve(args, "strategy", str, "greedy-peel", STRATEGIES)
     iters = _resolve(args, "iters", int, 100)
-    threads = _resolve(args, "threads", int, 1)
     g = build_plane_graph(args.q)
     if args.baer:
         query = baer_subplane(args.q)
@@ -111,10 +124,8 @@ def cmd_audit(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise SkalabError("audit needs --baer or both --a and --b")
-        if strategy not in STRATEGIES:
-            raise SkalabError(f"strategy must be one of {STRATEGIES}")
         query, _ = dense_subgraph_search(
-            g, args.a, args.b, strategy=strategy, seed=seed, iters=iters, threads=threads
+            g, args.a, args.b, strategy=strategy, seed=seed, iters=iters
         )
         label = strategy
     report = sdz_report(g, query)
@@ -134,7 +145,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ska(args) -> int:
-    fmt = _resolve(args, "format", str, "json")
+    fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
     spec = field_for_size(args.q)
     if spec.degree != 2:
@@ -152,11 +163,12 @@ def cmd_ska(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    fmt = _resolve(args, "format", str, "json")
+    fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
-    threads = _resolve(args, "threads", int, 1)
     c = _resolve(args, "c", float, 3.0)
-    family = build_cover(args.q, c=c, seed=seed, threads=threads)
+    if not 0 < c < math.inf:
+        raise SkalabError(f"c must be finite and positive, got {c}")
+    family = build_cover(args.q, c=c, seed=seed)
     config = {"command": "cover", "q": args.q, "c": c, "seed": seed,
               "format": fmt, "version": __version__}
     _emit(args, canonical_json(envelope("cover", config, {"cover": family.to_json_dict()})))
@@ -164,7 +176,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_halve(args) -> int:
-    estimator_id = _resolve(args, "estimator", str, "zlib")
+    estimator_id = _resolve(args, "estimator", str, "zlib", ESTIMATOR_IDS)
     try:
         with open(args.x_file, "rb") as fh:
             x = fh.read()
@@ -172,6 +184,8 @@ def cmd_halve(args) -> int:
             y = fh.read()
     except OSError as exc:
         raise SkalabError(f"cannot read input: {exc}") from exc
+    if not x or not y:
+        raise SkalabError("halve needs nonempty --x-file and --y-file")
     est = get_estimator(estimator_id, x, y)
     report = halve(x, y, est)
     config = {"command": "halve", "x_file": args.x_file, "y_file": args.y_file,
@@ -194,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument("--seed", type=int, default=None)
         if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default=None)
+            p.add_argument("--format", choices=FORMATS, default=None)
 
     p_plane = sub.add_parser("plane", help="enumerate PG(2,q)")
     p_plane.add_argument("--q", type=int, required=True)
@@ -209,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--b", type=int, default=None, help="target right size")
     p_audit.add_argument("--strategy", choices=STRATEGIES, default=None)
     p_audit.add_argument("--iters", type=int, default=None)
-    p_audit.add_argument("--threads", type=int, default=None)
+    p_audit.add_argument("--threads", type=int, default=None, help=NO_EFFECT)
     common(p_audit)
     p_audit.set_defaults(func=cmd_audit)
 
@@ -222,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover = sub.add_parser("cover", help="randomized subplane covering family")
     p_cover.add_argument("--q", type=int, required=True)
     p_cover.add_argument("--c", type=float, default=None, help="oversampling constant")
-    p_cover.add_argument("--threads", type=int, default=None)
+    p_cover.add_argument("--threads", type=int, default=None, help=NO_EFFECT)
     common(p_cover)
     p_cover.set_defaults(func=cmd_cover)
 

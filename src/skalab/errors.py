@@ -41,16 +41,12 @@ class SizeTooLarge(SkalabError):
     """Requested subset size exceeds the host side."""
 
 
-class ExhaustiveInfeasible(SkalabError):
-    """Exhaustive search would enumerate too many candidate pairs."""
-
-
 class TooManyEdges(SkalabError):
     """Requested edge count exceeds the bipartite capacity."""
 
 
 class TooLarge(SkalabError):
-    """Exhaustive enumeration would not fit the stated budget."""
+    """Requested work would exceed the stated budget."""
 
 
 class PhaseError(SkalabError):

@@ -228,21 +228,6 @@ class Elt:
         return f"Elt({format_elt(self)!r} in GF({self.spec.size}))"
 
 
-def arith(kind: str, a: Elt, b: Elt | None = None) -> Elt:
-    """Dispatch add/sub/mul/neg by name (b is ignored for neg)."""
-    if kind == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"{kind} needs two operands")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {kind!r}")
-
-
 def format_elt(a: Elt) -> str:
     """Render on the textual syntax: '2', 'x', '2x', '1+2x', ..."""
     if a.a1 == 0:

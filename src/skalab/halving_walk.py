@@ -293,15 +293,6 @@ def _barycentric_in_image(grid: GridMap, tri, target: Pair):
     return (1.0 - lb - lc, lb, lc)
 
 
-def _image_diameter(grid: GridMap, tri) -> float:
-    pts = [grid.at(*v) for v in tri]
-    return max(
-        math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-
-
 def _scan_for_triangle(grid: GridMap, target: Pair, tol: float):
     """First triangle (in scan order) whose image contains the target.
 
@@ -354,26 +345,6 @@ def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
 
 
 @dataclass
-class WindingReport:
-    """Boundary image, winding, and (when covered) the preimage node."""
-
-    boundary_polyline: list[Pair]
-    target: Pair
-    winding: int
-    preimage: tuple[int, int] | None
-    residual: float | None
-
-
-def preimage_report(grid: GridMap, target: Pair) -> WindingReport:
-    poly = boundary_polyline(grid)
-    w = winding_number(grid, target)
-    if w == 0:
-        return WindingReport(poly, target, 0, None, None)
-    node, residual = find_preimage(grid, target)
-    return WindingReport(poly, target, w, node, residual)
-
-
-@dataclass
 class HalveReport:
     """Outcome of the halving pipeline on one string pair."""
 
@@ -417,33 +388,21 @@ def halve(x: bytes, y: bytes, est: ComplexityEstimator) -> HalveReport:
     grid = build_grid(x, y, est)
     target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
     measured = measured_lipschitz(grid)
-    declared = est.lipschitz_bound
-    report = preimage_report(grid, target)
-    if report.winding == 0:
-        return HalveReport(
-            nx=len(x),
-            ny=len(y),
-            target=target,
-            winding=0,
-            status="not_covered",
-            alpha=None,
-            beta=None,
-            achieved=None,
-            residual=None,
-            lipschitz_declared=declared,
-            lipschitz_measured=measured,
-        )
-    alpha, beta = report.preimage
+    winding = winding_number(grid, target)
+    alpha = beta = achieved = residual = None
+    if winding != 0:
+        (alpha, beta), residual = find_preimage(grid, target)
+        achieved = grid.at(alpha, beta)
     return HalveReport(
         nx=len(x),
         ny=len(y),
         target=target,
-        winding=report.winding,
-        status="ok",
+        winding=winding,
+        status="ok" if winding != 0 else "not_covered",
         alpha=alpha,
         beta=beta,
-        achieved=grid.at(alpha, beta),
-        residual=report.residual,
-        lipschitz_declared=declared,
+        achieved=achieved,
+        residual=residual,
+        lipschitz_declared=est.lipschitz_bound,
         lipschitz_measured=measured,
     )

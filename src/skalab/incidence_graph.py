@@ -21,14 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
     EmptyQuery,
-    ExhaustiveInfeasible,
     InvariantViolation,
     SizeTooLarge,
+    TooLarge,
     TooManyEdges,
     UnknownVertex,
 )
@@ -289,7 +288,6 @@ def dense_subgraph_search(
     strategy: str = "greedy-peel",
     seed: int = 0,
     iters: int = 100,
-    threads: int = 1,
 ) -> tuple[SubgraphQuery, int]:
     """Find a dense induced subgraph with exactly a left and b right vertices.
 
@@ -302,7 +300,7 @@ def dense_subgraph_search(
     if a > len(g.left_ids) or b > len(g.right_ids) or a < 1 or b < 1:
         raise SizeTooLarge(f"requested ({a}, {b}) of ({len(g.left_ids)}, {len(g.right_ids)})")
     if strategy == "exhaustive":
-        return _search_exhaustive(g, a, b, threads)
+        return _search_exhaustive(g, a, b)
     if strategy == "greedy-peel":
         return _search_greedy(g, a, b)
     if strategy == "local-swap":
@@ -321,33 +319,18 @@ def _best_right_for_left(g: BiGraph, left_combo: tuple[int, ...], b: int):
     return count, tuple(sorted(chosen))
 
 
-def _search_exhaustive(g: BiGraph, a: int, b: int, threads: int):
+def _search_exhaustive(g: BiGraph, a: int, b: int):
     n_pairs = math.comb(len(g.left_ids), a) * math.comb(len(g.right_ids), b)
     if n_pairs > EXHAUSTIVE_PAIR_LIMIT:
-        raise ExhaustiveInfeasible(f"{n_pairs} candidate pairs > {EXHAUSTIVE_PAIR_LIMIT}")
-    combos = itertools.combinations(g.left_ids, a)
-
-    def scan(chunk):
-        # (-count, left, right) total order makes the reduce order-independent
-        best = None
-        for left_combo in chunk:
-            count, right = _best_right_for_left(g, left_combo, b)
-            key = (-count, left_combo, right)
-            if best is None or key < best:
-                best = key
-        return best
-
-    if threads <= 1:
-        best = scan(combos)
-    else:
-        combo_list = list(combos)
-        step = max(1, (len(combo_list) + threads - 1) // threads)
-        chunks = [combo_list[i : i + step] for i in range(0, len(combo_list), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [r for r in pool.map(scan, chunks) if r is not None]
-        best = min(results)
-    count = -best[0]
-    return SubgraphQuery.of(best[1], best[2]), count
+        raise TooLarge(f"{n_pairs} candidate pairs > {EXHAUSTIVE_PAIR_LIMIT}")
+    # (-count, left, right) order: most edges, then lexicographically smallest
+    best = None
+    for left_combo in itertools.combinations(g.left_ids, a):
+        count, right = _best_right_for_left(g, left_combo, b)
+        key = (-count, left_combo, right)
+        if best is None or key < best:
+            best = key
+    return SubgraphQuery.of(best[1], best[2]), -best[0]
 
 
 def _search_greedy(g: BiGraph, a: int, b: int):
@@ -406,23 +389,3 @@ def _search_local_swap(g: BiGraph, a: int, b: int, iters: int):
             right.add(in_id)
     query = SubgraphQuery.of(left, right)
     return query, count_induced_edges(g, query)
-
-
-def write_edge_list(g: BiGraph, stream) -> None:
-    """One `left_id right_id` pair per line, sorted."""
-    for l, r in sorted(g.edges):
-        stream.write(f"{l} {r}\n")
-
-
-def read_edge_list(stream, q: int | None = None) -> BiGraph:
-    """Inverse of write_edge_list; vertex sets are the ids seen in edges."""
-    edges = set()
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        l_str, r_str = line.split()
-        edges.add((int(l_str), int(r_str)))
-    left = {l for l, _ in edges}
-    right = {r for _, r in edges}
-    return BiGraph(sorted(left), sorted(right), edges, q=q)

@@ -133,7 +133,6 @@ class Plane:
         self.line_id = {ln: i for i, ln in enumerate(self.lines)}
         self.flag_ids: list[tuple[int, int]] = self._enumerate_flags()
         self.flag_index = {pair: i for i, pair in enumerate(self.flag_ids)}
-        self._flags: list[Flag] | None = None
 
     def _enumerate_flags(self) -> list[tuple[int, int]]:
         pairs = []
@@ -142,14 +141,6 @@ class Plane:
                 pairs.append((lid, self.point_id[pt]))
         pairs.sort()
         return pairs
-
-    @property
-    def flags(self) -> list[Flag]:
-        if self._flags is None:
-            self._flags = [
-                Flag(self.lines[lid], self.points[pid]) for lid, pid in self.flag_ids
-            ]
-        return self._flags
 
     def flag(self, index: int) -> Flag:
         lid, pid = self.flag_ids[index]
@@ -256,8 +247,3 @@ def flag_from_json(spec: FieldSpec, data: dict) -> Flag:
     line = ProjLine(tuple(parse_elt(spec, s) for s in data["line"]))
     point = ProjPoint(tuple(parse_elt(spec, s) for s in data["point"]))
     return Flag(line, point)
-
-
-def flags_csv_rows(plane: Plane) -> list[tuple[int, int]]:
-    """One (line_id, point_id) row per flag, in canonical order."""
-    return list(plane.flag_ids)

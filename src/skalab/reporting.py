@@ -1,8 +1,8 @@
 """Canonical, byte-stable report rendering (JSON and RFC-4180 CSV).
 
 All floats are rounded to 12 significant digits before rendering so that
-repeated runs and parallel runs produce identical bytes; JSON keys are
-sorted; CSV uses \r\n line endings and minimal quoting.
+repeated runs produce identical bytes; JSON keys are sorted; CSV uses \r\n
+line endings and minimal quoting.
 """
 
 from __future__ import annotations

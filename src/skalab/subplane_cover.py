@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SpecMismatch, TooLarge, UnsupportedField
@@ -116,12 +115,6 @@ def _random_automorphism(spec: FieldSpec, rng: random.Random) -> Automorphism:
             return Automorphism(m)
 
 
-def random_automorphism(q: int, seed: int) -> Automorphism:
-    """Uniform invertible matrix by rejection sampling, deterministic per seed."""
-    spec = field_for_size(q)
-    return _random_automorphism(spec, random.Random(seed))
-
-
 def sample_automorphisms(q: int, count: int, seed: int) -> list[Automorphism]:
     """`count` automorphisms drawn from a single seeded rejection stream."""
     spec = field_for_size(q)
@@ -217,8 +210,7 @@ class CoverFamily:
 
 
 def cover_with_maps(
-    q: int, maps: list[Automorphism], seed: int | None = None,
-    c: float | None = None, threads: int = 1,
+    q: int, maps: list[Automorphism], seed: int | None = None, c: float | None = None
 ) -> CoverFamily:
     """Mark which flags fall in some image of the Baer subplane.
 
@@ -228,38 +220,17 @@ def cover_with_maps(
     flags).
     """
     plane = enumerate_plane(q)
-    base_flags = sorted(baer_flag_ids(plane))
-    base_objs = [plane.flag(i) for i in base_flags]
-
-    def mark(chunk: list[Automorphism]):
-        covered = bytearray(len(plane.flag_ids))
-        counts = []
-        for m in chunk:
-            hits = set()
-            for flg in base_objs:
-                image = apply(m, flg)
-                idx = plane.flag_index[
-                    (plane.line_id[image.line], plane.point_id[image.point])
-                ]
-                covered[idx] = 1
-                hits.add(idx)
-            counts.append(len(hits))
-        return covered, counts
-
-    if threads <= 1 or len(maps) < 2:
-        covered, per_map = mark(maps)
-    else:
-        step = max(1, (len(maps) + threads - 1) // threads)
-        chunks = [maps[i : i + step] for i in range(0, len(maps), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(mark, chunks))
-        covered = bytearray(len(plane.flag_ids))
-        per_map = []
-        for part, counts in results:
-            for i, hit in enumerate(part):
-                if hit:
-                    covered[i] = 1
-            per_map.extend(counts)
+    base_objs = [plane.flag(i) for i in sorted(baer_flag_ids(plane))]
+    covered = bytearray(len(plane.flag_ids))
+    per_map = []
+    for m in maps:
+        hits = set()
+        for flg in base_objs:
+            image = apply(m, flg)
+            idx = plane.flag_index[(plane.line_id[image.line], plane.point_id[image.point])]
+            covered[idx] = 1
+            hits.add(idx)
+        per_map.append(len(hits))
     return CoverFamily(
         q=q,
         base=baer_subplane(q),
@@ -277,13 +248,16 @@ def cover_sample_count(q: int, c: float) -> int:
     if spec.degree != 2:
         raise UnsupportedField("covering families need q = p^2")
     plane = enumerate_plane(q)
-    return math.ceil(c * spec.p**3 * math.log(len(plane.flag_ids)))
+    n = c * spec.p**3 * math.log(len(plane.flag_ids))
+    if n == math.inf:
+        raise TooLarge(f"c={c} gives an unbounded number of draws")
+    return math.ceil(n)
 
 
-def build_cover(q: int, c: float = 3.0, seed: int = 0, threads: int = 1) -> CoverFamily:
+def build_cover(q: int, c: float = 3.0, seed: int = 0) -> CoverFamily:
     """Sample the randomized covering family and report its coverage."""
     if c <= 0:
         raise ValueError("oversampling constant c must be positive")
     n = cover_sample_count(q, c)
     maps = sample_automorphisms(q, n, seed)
-    return cover_with_maps(q, maps, seed=seed, c=c, threads=threads)
+    return cover_with_maps(q, maps, seed=seed, c=c)

@@ -223,3 +223,44 @@ class TestConfigAndEnv:
         assert code == 0
         assert out == b""
         assert json.loads(target.read_text())["points"] == 13
+
+
+@pytest.mark.parametrize("argv, config, env", [
+    pytest.param(["cover", "--q", "9", "--c", "nan"], None, None, id="cover-c-nan"),
+    pytest.param(["cover", "--q", "9", "--c", "inf"], None, None, id="cover-c-inf"),
+    pytest.param(["cover", "--q", "9", "--c", "1e308"], None, None, id="cover-N-overflows"),
+    pytest.param(["cover", "--q", "9", "--c", "0"], None, None, id="cover-c-zero"),
+    pytest.param(["cover", "--q", "9", "--c=-1"], None, None, id="cover-c-negative"),
+    pytest.param(["cover", "--q", "9"], "c=nan", None, id="config-c-nan"),
+    pytest.param(["halve", "--x-file", "{empty}", "--y-file", "{full}"], None, None,
+                 id="halve-empty-input"),
+    pytest.param(["plane", "--q", "2", "--out", "{tmp}/missing/f.json"], None, None,
+                 id="out-dir-missing"),
+    pytest.param(["plane", "--q", "2"], "seed=abc", None, id="config-seed-not-int"),
+    pytest.param(["plane", "--q", "2"], None, "x", id="env-seed-not-int"),
+    pytest.param(["halve", "--x-file", "{full}", "--y-file", "{full}"], "estimator=bogus", None,
+                 id="config-estimator-unknown"),
+    pytest.param(["plane", "--q", "2"], "format=xml", None, id="config-format-unknown"),
+])
+def test_bad_input_exits_2(argv, config, env, tmp_path, monkeypatch, capsys):
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "full").write_bytes(b"abc")
+    argv = [a.format(tmp=tmp_path, empty=tmp_path / "empty", full=tmp_path / "full")
+            for a in argv]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    monkeypatch.delenv("SKALAB_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SKALAB_SEED", env)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("skalab: ") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_thread_pool():
+    # the thread-pool package must not come back as an import-time cost
+    check = "import sys, skalab.cli; sys.exit('concurrent' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check]).returncode == 0

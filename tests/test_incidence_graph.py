@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -6,8 +5,8 @@ import pytest
 
 from skalab.errors import (
     EmptyQuery,
-    ExhaustiveInfeasible,
     SizeTooLarge,
+    TooLarge,
     TooManyEdges,
     UnknownVertex,
 )
@@ -19,9 +18,7 @@ from skalab.incidence_graph import (
     count_induced_edges,
     dense_subgraph_search,
     random_bigraph,
-    read_edge_list,
     sdz_report,
-    write_edge_list,
     zarankiewicz_bound,
 )
 from skalab.subplane_cover import baer_subplane
@@ -181,14 +178,8 @@ class TestDenseSubgraphSearch:
     def test_exhaustive_infeasible(self):
         g = build_plane_graph(5)
         assert math.comb(31, 15) ** 2 > 10**7
-        with pytest.raises(ExhaustiveInfeasible):
+        with pytest.raises(TooLarge):
             dense_subgraph_search(g, 15, 15, "exhaustive")
-
-    def test_threads_match_serial(self):
-        g = build_plane_graph(3)
-        serial = dense_subgraph_search(g, 3, 3, "exhaustive", threads=1)
-        parallel = dense_subgraph_search(g, 3, 3, "exhaustive", threads=4)
-        assert serial == parallel
 
 
 class TestRandomBigraph:
@@ -227,13 +218,3 @@ class TestC4Free:
 
     def test_zarankiewicz_bound_formula(self):
         assert zarankiewicz_bound(14, 14) == pytest.approx(7 * (1 + math.sqrt(53)))
-
-
-class TestEdgeListIO:
-    def test_round_trip(self):
-        g = build_plane_graph(2)
-        buf = io.StringIO()
-        write_edge_list(g, buf)
-        back = read_edge_list(io.StringIO(buf.getvalue()), q=2)
-        assert back.edges == g.edges
-        assert back.left_ids == g.left_ids

@@ -14,7 +14,6 @@ from skalab.projective_plane import (
     enumerate_plane,
     flag_from_json,
     flag_to_json,
-    flags_csv_rows,
     from_chart,
     incident,
     sample_flag,
@@ -121,7 +120,8 @@ class TestEnumerate:
 
     def test_flags_are_incident(self):
         plane = enumerate_plane(3)
-        for flag in plane.flags:
+        for i in range(len(plane.flag_ids)):
+            flag = plane.flag(i)
             assert incident(flag.line, flag.point)
 
 
@@ -212,9 +212,3 @@ class TestSerialization:
         # the reader canonicalizes, so scaled coordinates name the same flag
         data = {"line": ["1", "1+2x", "0"], "point": ["x", "2+x", "1"]}
         assert flag_from_json(F9, data) == worked_flag()
-
-    def test_csv_rows(self):
-        plane = enumerate_plane(2)
-        rows = flags_csv_rows(plane)
-        assert len(rows) == 21
-        assert all(len(r) == 2 for r in rows)

@@ -6,18 +6,16 @@ import pytest
 from skalab.errors import SpecMismatch, TooLarge, UnsupportedField
 from skalab.finite_field import build_field_spec, field_for_size
 from skalab.incidence_graph import build_plane_graph, count_induced_edges
-from skalab.projective_plane import enumerate_plane, incident, sample_flag
+from skalab.projective_plane import enumerate_plane, incident
 from skalab.subplane_cover import (
     Automorphism,
     apply,
-    baer_flag_ids,
     baer_subplane,
     build_cover,
     cover_sample_count,
     cover_with_maps,
     det3,
     flag_transitivity_check,
-    random_automorphism,
     random_matrix,
     sample_automorphisms,
 )
@@ -57,7 +55,7 @@ class TestApply:
 
     def test_incidence_preserved_exhaustive_q3(self):
         plane = enumerate_plane(3)
-        maps = [random_automorphism(3, seed) for seed in range(20)]
+        maps = [sample_automorphisms(3, 1, seed=seed)[0] for seed in range(20)]
         for m in maps:
             for i in range(len(plane.flag_ids)):
                 image = apply(m, plane.flag(i))
@@ -65,20 +63,20 @@ class TestApply:
 
     def test_inverse_round_trip(self):
         plane = enumerate_plane(9)
-        m = random_automorphism(9, seed=5)
+        m = sample_automorphisms(9, 1, seed=5)[0]
         for i in range(0, len(plane.flag_ids), 37):
             flag = plane.flag(i)
             assert apply(m, apply(m.inverse(), flag)) == flag
 
     def test_spec_mismatch(self):
-        m = random_automorphism(9, seed=0)
+        m = sample_automorphisms(9, 1, seed=0)[0]
         flag = enumerate_plane(3).flag(0)
         with pytest.raises(SpecMismatch):
             apply(m, flag)
 
     def test_inverse_transpose_identity(self):
         # inv^T multiplied against the transpose gives the identity matrix
-        m = random_automorphism(9, seed=11)
+        m = sample_automorphisms(9, 1, seed=11)[0]
         spec = m.spec
         prod = [
             [
@@ -99,11 +97,11 @@ class TestApply:
 class TestRandomAutomorphism:
     def test_never_singular(self):
         for seed in range(50):
-            assert not det3(random_automorphism(9, seed).matrix).is_zero()
+            assert not det3(sample_automorphisms(9, 1, seed=seed)[0].matrix).is_zero()
 
     def test_deterministic(self):
-        a = random_automorphism(9, seed=4)
-        b = random_automorphism(9, seed=4)
+        a = sample_automorphisms(9, 1, seed=4)[0]
+        b = sample_automorphisms(9, 1, seed=4)[0]
         assert a.matrix == b.matrix
 
     def test_acceptance_probability_q3(self):
@@ -121,12 +119,6 @@ class TestRandomAutomorphism:
 
 
 class TestFlagTransitivity:
-    def test_q2(self):
-        assert flag_transitivity_check(2) is True
-
-    def test_q3(self):
-        assert flag_transitivity_check(3) is True
-
     def test_q9_guard(self):
         with pytest.raises(TooLarge):
             flag_transitivity_check(9)
@@ -163,13 +155,6 @@ class TestBuildCover:
             assert frac >= prev
             prev = frac
 
-    def test_threads_match_serial(self):
-        maps = sample_automorphisms(9, 40, seed=3)
-        serial = cover_with_maps(9, maps, threads=1)
-        parallel = cover_with_maps(9, maps, threads=4)
-        assert serial.covered == parallel.covered
-        assert serial.per_map_counts == parallel.per_map_counts
-
     def test_prime_field_rejected(self):
         with pytest.raises(UnsupportedField):
             build_cover(5, c=3.0, seed=0)
@@ -179,23 +164,3 @@ class TestBuildCover:
         data = family.to_json_dict()
         assert set(data) == {"q", "p", "N", "c", "seed", "coverage_fraction", "uncovered_flag_ids"}
         assert data["q"] == 9 and data["p"] == 3
-
-
-class TestHitRate:
-    def test_per_flag_hit_probability(self):
-        # one uniform automorphism hits a fixed flag with prob |H0 flags| / |flags|
-        plane = enumerate_plane(9)
-        base = baer_flag_ids(plane)
-        maps = sample_automorphisms(9, 10_000, seed=0)
-        fixed = sample_flag(9, seed=0)
-        hits = 0
-        for m in maps:
-            image = apply(m.inverse(), fixed)
-            idx = plane.flag_index[
-                (plane.line_id[image.line], plane.point_id[image.point])
-            ]
-            if idx in base:
-                hits += 1
-        p = 52 / 910
-        sigma = math.sqrt(10_000 * p * (1 - p))
-        assert abs(hits - 10_000 * p) <= 3 * sigma
