@@ -117,6 +117,8 @@ def cmd_audit(args) -> int:
     seed = _resolve(args, "seed", int, 0)
     strategy = _resolve(args, "strategy", str, "greedy-peel", STRATEGIES)
     iters = _resolve(args, "iters", int, 100)
+    if iters < 0:
+        raise SkalabError(f"iters must be non-negative, got {iters}")
     g = build_plane_graph(args.q)
     if args.baer:
         query = baer_subplane(args.q)

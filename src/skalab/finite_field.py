@@ -9,6 +9,11 @@ same extension.
 Elements are kept canonically reduced: residues a0, a1 in [0, p), and a1 = 0
 for prime fields.  All operations are pure; values are safe to share across
 threads.
+
+Bulk code works on element indices instead: a0*p + a1 in GF(p^2) and a0 in
+GF(p), which is the order of `FieldSpec.elements()`.  `FieldSpec.tables()`
+holds the add/mul/neg/inv tables over those indices; they are derived from
+`Elt` arithmetic on first use, so `Elt` stays the one definition of the field.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DivisionByZero, NotPrime, SpecMismatch, UnsupportedField
 
@@ -36,16 +42,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class FieldTables(NamedTuple):
+    """Arithmetic over element indices: add[a][b], mul[a][b], neg[a], inv[a].
+
+    inv[0] is None.
+    """
+
+    add: list[list[int]]
+    mul: list[list[int]]
+    neg: list[int]
+    inv: list[int | None]
+
+
 class FieldSpec:
     """Immutable description of GF(p) (degree 1) or GF(p^2) (degree 2)."""
 
-    __slots__ = ("p", "degree", "u", "v")
+    __slots__ = ("p", "degree", "u", "v", "_tables")
 
     def __init__(self, p: int, degree: int, u: int = 0, v: int = 0):
         self.p = p
         self.degree = degree
         self.u = u
         self.v = v
+        self._tables: FieldTables | None = None
 
     @property
     def size(self) -> int:
@@ -77,10 +96,34 @@ class FieldSpec:
                 for a1 in range(self.p):
                     yield Elt(self, a0, a1)
 
+    def index(self, a: "Elt") -> int:
+        """Position of `a` in `elements()`: a0*p + a1, or a0 in a prime field."""
+        return a.a0 * self.p + a.a1 if self.degree == 2 else a.a0
+
+    def element(self, index: int) -> "Elt":
+        """The element at `index` in `elements()`; inverse of `index`."""
+        if self.degree == 2:
+            return Elt(self, *divmod(index, self.p))
+        return Elt(self, index, 0)
+
+    def tables(self) -> FieldTables:
+        """Index-level add/mul/neg/inv tables, built from `Elt` on first use."""
+        if self._tables is None:
+            elts = list(self.elements())
+            index = self.index
+            add = [[index(a + b) for b in elts] for a in elts]
+            mul = [[index(a * b) for b in elts] for a in elts]
+            neg = [index(-a) for a in elts]
+            inv = [None] + [index(a.inv()) for a in elts[1:]]
+            self._tables = FieldTables(add, mul, neg, inv)
+        return self._tables
+
     def to_json_dict(self) -> dict:
         return {"p": self.p, "degree": self.degree, "u": self.u, "v": self.v}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.p == other.p

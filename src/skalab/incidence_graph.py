@@ -8,9 +8,10 @@ subgraph against two classical yardsticks:
   prime fields when the subset sizes are balanced and small (the report only
   records the ratio |E'| / (|L'|*|R'|)^(11/15); the theorem carries an
   implicit constant, so nothing is asserted);
-* the Kovari-Sos-Turan / Zarankiewicz bound for C4-free hosts,
-  |E'| <= |R'|/2 * (1 + sqrt(4|L'| - 3)), which *is* hard-asserted whenever
-  the host graph is C4-free.
+* the Kovari-Sos-Turan / Zarankiewicz bound for C4-free hosts (Reiman's
+  bound, the smaller of the two ways round),
+  |E'| <= n/2 * (1 + sqrt(1 + 4m(m-1)/n)) with (m, n) = (|L'|, |R'|) or
+  (|R'|, |L'|), which *is* hard-asserted whenever the host graph is C4-free.
 
 `random_bigraph` produces the uniform-random baseline with the same
 (alpha, beta, gamma) log-sizes for comparison runs.
@@ -18,6 +19,7 @@ subgraph against two classical yardsticks:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -39,30 +41,35 @@ EXHAUSTIVE_PAIR_LIMIT = 10**7
 
 
 class BiGraph:
-    """Simple bipartite graph with integer vertex ids on both sides."""
+    """Simple bipartite graph with integer vertex ids on both sides.
+
+    Each vertex keeps its neighbours twice: as a list of ids (`_left_adj`,
+    `_right_adj`) and as a bitset over the other side's positions in the
+    sorted id list (`_left_bits`, `_right_bits`).
+    """
 
     def __init__(
         self,
         left_ids: list[int],
         right_ids: list[int],
-        edges: set[tuple[int, int]],
+        edges,
         q: int | None = None,
     ):
         self.left_ids = sorted(left_ids)
         self.right_ids = sorted(right_ids)
         self.edges = set(edges)
         self.q = q
-        left_set, right_set = set(self.left_ids), set(self.right_ids)
+        self._left_adj: dict[int, list[int]] = {l: [] for l in self.left_ids}
+        self._right_adj: dict[int, list[int]] = {r: [] for r in self.right_ids}
         for l, r in self.edges:
-            if l not in left_set or r not in right_set:
+            if l not in self._left_adj or r not in self._right_adj:
                 raise UnknownVertex(f"edge ({l}, {r}) has an endpoint off-graph")
+            self._left_adj[l].append(r)
+            self._right_adj[r].append(l)
         self._right_pos = {r: i for i, r in enumerate(self.right_ids)}
         self._left_pos = {l: i for i, l in enumerate(self.left_ids)}
-        self._left_bits: dict[int, int] = {l: 0 for l in self.left_ids}
-        self._right_bits: dict[int, int] = {r: 0 for r in self.right_ids}
-        for l, r in self.edges:
-            self._left_bits[l] |= 1 << self._right_pos[r]
-            self._right_bits[r] |= 1 << self._left_pos[l]
+        self._left_bits = _bitsets(self._left_adj, self._right_pos)
+        self._right_bits = _bitsets(self._right_adj, self._left_pos)
         self._c4_free: bool | None = None
 
     @property
@@ -110,6 +117,16 @@ class BiGraph:
         if self._c4_free is None:
             self._c4_free = c4_free_check(self)
         return self._c4_free
+
+
+def _bitsets(adj: dict[int, list[int]], pos: dict[int, int]) -> dict[int, int]:
+    bits = {}
+    for v, nbrs in adj.items():
+        mask = 0
+        for w in nbrs:
+            mask |= 1 << pos[w]
+        bits[v] = mask
+    return bits
 
 
 @dataclass(frozen=True)
@@ -192,12 +209,8 @@ class BoundReport:
 def build_plane_graph(q: int) -> BiGraph:
     """Incidence graph of PG(2,q): left = line ids, right = point ids."""
     plane = enumerate_plane(q)
-    return BiGraph(
-        list(range(len(plane.lines))),
-        list(range(len(plane.points))),
-        set(plane.flag_ids),
-        q=q,
-    )
+    n_points, n_lines, _ = plane.counts()
+    return BiGraph(list(range(n_lines)), list(range(n_points)), plane.flag_ids, q=q)
 
 
 def count_induced_edges(g: BiGraph, query: SubgraphQuery) -> int:
@@ -213,8 +226,20 @@ def count_induced_edges(g: BiGraph, query: SubgraphQuery) -> int:
 
 
 def zarankiewicz_bound(left_size: int, right_size: int) -> float:
-    """C4-free edge cap: |R'|/2 * (1 + sqrt(4|L'| - 3))."""
-    return 0.5 * right_size * (1.0 + math.sqrt(4.0 * left_size - 3.0))
+    """C4-free edge cap (Reiman): the smaller of n/2 * (1 + sqrt(1 + 4m(m-1)/n))
+    over (m, n) = (|L'|, |R'|) and (|R'|, |L'|).
+
+    In a C4-free graph two vertices of one side share at most one neighbour,
+    so the degrees d_r of the n right vertices satisfy sum C(d_r, 2) <=
+    C(m, 2); Jensen turns that into the bound above.  Each radicand is the
+    rational (n + 4m(m-1))/n, rounded once by the integer true division; for
+    m = n it is exactly 4n - 3, the square case.
+    """
+
+    def reiman(m: int, n: int) -> float:
+        return 0.5 * n * (1.0 + math.sqrt((n + 4 * m * (m - 1)) / n))
+
+    return min(reiman(left_size, right_size), reiman(right_size, left_size))
 
 
 def sdz_report(g: BiGraph, query: SubgraphQuery) -> BoundReport:
@@ -268,16 +293,20 @@ def random_bigraph(alpha: float, beta: float, gamma: float, seed: int) -> BiGrap
 
 
 def c4_free_check(g: BiGraph) -> bool:
-    """True iff no two left vertices share two common right neighbors."""
-    bits = [g._left_bits[l] for l in g.left_ids]
-    n = len(bits)
-    for i in range(n):
-        bi = bits[i]
-        if bi.bit_count() < 2:
-            continue
-        for j in range(i + 1, n):
-            if (bi & bits[j]).bit_count() >= 2:
+    """True iff no two left vertices share two common right neighbors.
+
+    Equivalently, for every left l the sets N(r) - {l}, r in N(l), are
+    pairwise disjoint: a left vertex in two of them shares two right
+    neighbours with l.  The sets are bitsets over left positions.
+    """
+    for l in g.left_ids:
+        own = 1 << g._left_pos[l]
+        seen = 0
+        for r in g._left_adj[l]:
+            others = g._right_bits[r] ^ own
+            if seen & others:
                 return False
+            seen |= others
     return True
 
 
@@ -334,26 +363,43 @@ def _search_exhaustive(g: BiGraph, a: int, b: int):
 
 
 def _search_greedy(g: BiGraph, a: int, b: int):
-    """Peel the min-degree vertex from the side with more excess until (a, b)."""
-    left = sorted(g.left_ids)
-    right = sorted(g.right_ids)
-    left_mask = g.left_mask(left)
-    right_mask = g.right_mask(right)
+    """Peel the min-(degree, id) vertex from the side with more excess until (a, b).
+
+    Degrees count neighbours still on the other side.  Each side keeps a lazy
+    min-heap of (degree, id): a vertex gets a fresh entry whenever its degree
+    drops, and entries whose degree is stale are skipped when popped.
+    """
+    left = {l: len(nbrs) for l, nbrs in g._left_adj.items()}
+    right = {r: len(nbrs) for r, nbrs in g._right_adj.items()}
+    left_heap = [(d, l) for l, d in left.items()]
+    right_heap = [(d, r) for r, d in right.items()]
+    heapq.heapify(left_heap)
+    heapq.heapify(right_heap)
     while len(left) > a or len(right) > b:
         excess_l, excess_r = len(left) - a, len(right) - b
         peel_left = excess_l > excess_r or (
             excess_l == excess_r and len(left) >= len(right)
         )
         if peel_left:
-            victim = min(left, key=lambda l: ((g._left_bits[l] & right_mask).bit_count(), l))
-            left.remove(victim)
-            left_mask &= ~(1 << g._left_pos[victim])
+            _peel(left_heap, left, right_heap, right, g._left_adj)
         else:
-            victim = min(right, key=lambda r: ((g._right_bits[r] & left_mask).bit_count(), r))
-            right.remove(victim)
-            right_mask &= ~(1 << g._right_pos[victim])
+            _peel(right_heap, right, left_heap, left, g._right_adj)
     query = SubgraphQuery.of(left, right)
     return query, count_induced_edges(g, query)
+
+
+def _peel(heap, degrees, other_heap, other_degrees, adj) -> None:
+    """Remove the min-(degree, id) vertex of one side; update the other side."""
+    while True:
+        d, victim = heapq.heappop(heap)
+        if degrees.get(victim) == d:
+            break
+    del degrees[victim]
+    for w in adj[victim]:
+        d = other_degrees.get(w)
+        if d is not None:
+            other_degrees[w] = d - 1
+            heapq.heappush(other_heap, (d - 1, w))
 
 
 def _search_local_swap(g: BiGraph, a: int, b: int, iters: int):

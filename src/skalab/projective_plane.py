@@ -2,8 +2,16 @@
 
 Vertices are stored canonically: the first nonzero coordinate (scanning
 index 0, 1, 2) is scaled to 1, so equality of objects is equality of
-projective classes.  Enumeration sorts by the flattened residue tuple
-(a0, a1 per coordinate), which keeps vertex ids stable across runs.
+projective classes.  Points and lines share one closed-form id scheme over
+the element indices of `FieldSpec.elements()`:
+
+    (0:0:1) -> 0,   (0:1:c) -> 1 + c,   (1:b:c) -> 1 + q + b*q + c,
+
+which is the order of the flattened residue tuples (a0, a1 per coordinate),
+so ids are stable across runs.  `vertex_id` and `vertex_triple` convert
+between ids and canonical triples.  `Plane` enumerates flags on ids and
+field tables alone; `ProjPoint`/`ProjLine` objects are built only when a
+caller asks for them.
 
 The affine chart maps a flag (line x, point y) with x0 != 0 and y2 != 0 to
 six subfield residues (f, r, g, t, h, s) via
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ChartInvalid, SpecMismatch, UnsupportedField, ZeroVector
 from .finite_field import Elt, FieldSpec, field_for_size, format_elt, parse_elt
@@ -121,68 +129,113 @@ def incident(line: ProjLine, point: ProjPoint) -> bool:
     return acc.is_zero()
 
 
+def vertex_id(coords: Triple) -> int:
+    """Closed-form id of a canonical triple (first nonzero coordinate 1)."""
+    c0, c1, c2 = coords
+    spec = c0.spec
+    if not c0.is_zero():
+        return 1 + spec.size + spec.index(c1) * spec.size + spec.index(c2)
+    if not c1.is_zero():
+        return 1 + spec.index(c2)
+    return 0
+
+
+def vertex_triple(spec: FieldSpec, vid: int) -> Triple:
+    """Canonical triple of a vertex id; inverse of `vertex_id`."""
+    q = spec.size
+    zero, one = spec.zero(), spec.one()
+    if vid == 0:
+        return (zero, zero, one)
+    if vid <= q:
+        return (zero, one, spec.element(vid - 1))
+    b, c = divmod(vid - 1 - q, q)
+    return (one, spec.element(b), spec.element(c))
+
+
 class Plane:
-    """Immutable enumeration of PG(2,q): points, lines, flags, id lookups."""
+    """Immutable enumeration of PG(2,q): flag ids, plus lazy object lookups."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.q = spec.size
-        self.points: list[ProjPoint] = _canonical_triples(spec, ProjPoint)
-        self.lines: list[ProjLine] = _canonical_triples(spec, ProjLine)
-        self.point_id = {pt: i for i, pt in enumerate(self.points)}
-        self.line_id = {ln: i for i, ln in enumerate(self.lines)}
         self.flag_ids: list[tuple[int, int]] = self._enumerate_flags()
-        self.flag_index = {pair: i for i, pair in enumerate(self.flag_ids)}
 
     def _enumerate_flags(self) -> list[tuple[int, int]]:
-        pairs = []
-        for lid, line in enumerate(self.lines):
-            for pt in _points_on_line(line):
-                pairs.append((lid, self.point_id[pt]))
-        pairs.sort()
+        """All (line id, point id) incidences, in ascending order.
+
+        Line x meets point y iff x0*y0 + x1*y1 + x2*y2 = 0.  With x2 != 0
+        the line holds one point (0:1:beta) and, for each b, one point
+        (1:b:alpha + beta*b), where alpha = -x0/x2 and beta = -x1/x2; the
+        lines with x2 = 0 are (0:1:0) and (1:b:0).  Each line's point ids
+        come out ascending, so the list needs no sort.
+        """
+        q = self.q
+        add, mul, neg, inv = self.spec.tables()
+        one = self.spec.index(self.spec.one())
+        row_base = [1 + q + b * q for b in range(q)]  # id of (1:b:0)
+        pairs: list[tuple[int, int]] = []
+        for lid in range(1 + q + q * q):
+            if lid == 0:  # (0:0:1)
+                x0, x1, x2 = 0, 0, one
+            elif lid <= q:  # (0:1:c)
+                x0, x1, x2 = 0, one, lid - 1
+            else:  # (1:b:c)
+                x0 = one
+                x1, x2 = divmod(lid - 1 - q, q)
+            if x2:
+                x2inv = inv[x2]
+                alpha, beta = neg[mul[x0][x2inv]], neg[mul[x1][x2inv]]
+                shift, scale = add[alpha], mul[beta]
+                pairs.append((lid, 1 + beta))
+                pairs.extend([(lid, base + shift[scale[b]]) for b, base in enumerate(row_base)])
+            elif not x0:  # (0:1:0): y1 = 0
+                pairs.append((lid, 0))
+                pairs.extend([(lid, 1 + q + c) for c in range(q)])
+            elif not x1:  # (1:0:0): y0 = 0
+                pairs.extend([(lid, pid) for pid in range(q + 1)])
+            else:  # (1:b:0), b != 0: y0 = -b*y1
+                base = row_base[neg[inv[x1]]]
+                pairs.append((lid, 0))
+                pairs.extend([(lid, base + c) for c in range(q)])
         return pairs
+
+    @cached_property
+    def points(self) -> list[ProjPoint]:
+        return [ProjPoint(vertex_triple(self.spec, i)) for i in range(self._n_vertices())]
+
+    @cached_property
+    def lines(self) -> list[ProjLine]:
+        return [ProjLine(vertex_triple(self.spec, i)) for i in range(self._n_vertices())]
+
+    @cached_property
+    def point_id(self) -> dict[ProjPoint, int]:
+        return {pt: i for i, pt in enumerate(self.points)}
+
+    @cached_property
+    def line_id(self) -> dict[ProjLine, int]:
+        return {ln: i for i, ln in enumerate(self.lines)}
+
+    @cached_property
+    def flag_index(self) -> dict[tuple[int, int], int]:
+        return {pair: i for i, pair in enumerate(self.flag_ids)}
+
+    def _n_vertices(self) -> int:
+        return self.q * self.q + self.q + 1
 
     def flag(self, index: int) -> Flag:
         lid, pid = self.flag_ids[index]
-        return Flag(self.lines[lid], self.points[pid])
+        return Flag(
+            ProjLine(vertex_triple(self.spec, lid)),
+            ProjPoint(vertex_triple(self.spec, pid)),
+        )
+
+    def index_of(self, flag: Flag) -> int:
+        """Position of a flag in `flag_ids`."""
+        return self.flag_index[(vertex_id(flag.line.coords), vertex_id(flag.point.coords))]
 
     def counts(self) -> tuple[int, int, int]:
-        return (len(self.points), len(self.lines), len(self.flag_ids))
-
-
-def _canonical_triples(spec: FieldSpec, cls):
-    """All canonical triples: (0:0:1), (0:1:c), (1:b:c), sorted by residues."""
-    zero, one = spec.zero(), spec.one()
-    items = [cls((zero, zero, one))]
-    for c in spec.elements():
-        items.append(cls((zero, one, c)))
-    for b in spec.elements():
-        for c in spec.elements():
-            items.append(cls((one, b, c)))
-    items.sort(key=lambda t: t.residue_key())
-    return items
-
-
-def _points_on_line(line: ProjLine) -> list[ProjPoint]:
-    """The q+1 points of a line, via a basis of the incidence-form kernel."""
-    spec = line.spec
-    zero, one = spec.zero(), spec.one()
-    x0, x1, x2 = line.coords
-    if not x0.is_zero():
-        inv0 = x0.inv()
-        u = (-(x1 * inv0), one, zero)
-        w = (-(x2 * inv0), zero, one)
-    elif not x1.is_zero():
-        inv1 = x1.inv()
-        u = (one, zero, zero)
-        w = (zero, -(x2 * inv1), one)
-    else:
-        u = (one, zero, zero)
-        w = (zero, one, zero)
-    pts = [ProjPoint(w)]
-    for t in spec.elements():
-        pts.append(ProjPoint((u[0] + t * w[0], u[1] + t * w[1], u[2] + t * w[2])))
-    return pts
+        n = self._n_vertices()
+        return (n, n, len(self.flag_ids))
 
 
 @lru_cache(maxsize=16)

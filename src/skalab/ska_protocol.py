@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedField,
 )
 from .finite_field import FieldSpec, field_for_size
-from .projective_plane import ChartCoords, Flag, flag_to_json, to_chart
+from .projective_plane import ChartCoords, Flag, flag_to_json
 
 AUDIT_MAX_P = 13
 

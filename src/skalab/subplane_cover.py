@@ -123,21 +123,20 @@ def sample_automorphisms(q: int, count: int, seed: int) -> list[Automorphism]:
 
 
 def baer_subplane(q: int) -> SubgraphQuery:
-    """Ids of the lines/points of PG(2,q) with all coordinates in the subfield."""
-    plane = enumerate_plane(q)
-    if plane.spec.degree != 2:
+    """Ids of the lines/points of PG(2,q) with all coordinates in the subfield.
+
+    Subfield elements have index a*p, so the closed-form vertex ids are 0,
+    1 + a*p and 1 + q + b*p*q + c*p for a, b, c in [0, p); lines and points
+    share them.
+    """
+    spec = enumerate_plane(q).spec
+    if spec.degree != 2:
         raise UnsupportedField("a Baer subplane needs q = p^2")
-    left = {
-        lid
-        for lid, line in enumerate(plane.lines)
-        if all(c.a1 == 0 for c in line.coords)
-    }
-    right = {
-        pid
-        for pid, pt in enumerate(plane.points)
-        if all(c.a1 == 0 for c in pt.coords)
-    }
-    return SubgraphQuery.of(left, right)
+    p = spec.p
+    ids = [0]
+    ids += [1 + a * p for a in range(p)]
+    ids += [1 + q + b * p * q + c * p for b in range(p) for c in range(p)]
+    return SubgraphQuery.of(ids, ids)
 
 
 def baer_flag_ids(plane: Plane) -> set[int]:
@@ -162,8 +161,7 @@ def flag_transitivity_check(q: int) -> bool:
     for m in _all_matrices(elements):
         if det3(m).is_zero():
             continue
-        image = apply(Automorphism(m), base)
-        orbit.add(plane.flag_index[(plane.line_id[image.line], plane.point_id[image.point])])
+        orbit.add(plane.index_of(apply(Automorphism(m), base)))
     return len(orbit) == len(plane.flag_ids)
 
 
@@ -174,10 +172,9 @@ def _all_matrices(elements):
 
 @dataclass
 class CoverFamily:
-    """A base subplane, sampled maps, and the flags their images cover."""
+    """Sampled maps and the flags their images of the Baer subplane cover."""
 
     q: int
-    base: SubgraphQuery
     maps: list[Automorphism]
     covered: list[bool]
     per_map_counts: list[int]
@@ -226,14 +223,12 @@ def cover_with_maps(
     for m in maps:
         hits = set()
         for flg in base_objs:
-            image = apply(m, flg)
-            idx = plane.flag_index[(plane.line_id[image.line], plane.point_id[image.point])]
+            idx = plane.index_of(apply(m, flg))
             covered[idx] = 1
             hits.add(idx)
         per_map.append(len(hits))
     return CoverFamily(
         q=q,
-        base=baer_subplane(q),
         maps=list(maps),
         covered=[bool(x) for x in covered],
         per_map_counts=per_map,
@@ -243,12 +238,11 @@ def cover_with_maps(
 
 
 def cover_sample_count(q: int, c: float) -> int:
-    """ceil(c * p^3 * ln(total flags)) draws for the covering family."""
+    """ceil(c * p^3 * ln(total flags)) draws; PG(2,q) has (q^2+q+1)(q+1) flags."""
     spec = field_for_size(q)
     if spec.degree != 2:
         raise UnsupportedField("covering families need q = p^2")
-    plane = enumerate_plane(q)
-    n = c * spec.p**3 * math.log(len(plane.flag_ids))
+    n = c * spec.p**3 * math.log((q * q + q + 1) * (q + 1))
     if n == math.inf:
         raise TooLarge(f"c={c} gives an unbounded number of draws")
     return math.ceil(n)

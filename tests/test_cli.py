@@ -103,6 +103,19 @@ class TestAudit:
         code, _, _ = run_cli("audit", "--q", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--q", "2", "--a", "5", "--b", "2", "--strategy", "exhaustive"],
+        ["--q", "3", "--a", "8", "--b", "3", "--strategy", "exhaustive"],
+        ["--q", "5", "--a", "20", "--b", "4"],
+        ["--q", "13", "--a", "100", "--b", "10"],
+    ])
+    def test_unbalanced_audit_within_cap_exits_0(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", *argv]) == 0
+        header, row = capsys.readouterr().out.strip().split("\r\n")
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert int(rec["edges"]) <= float(rec["kst_bound"])
+
 
 class TestSka:
     def test_audit_q9(self):
@@ -241,6 +254,10 @@ class TestConfigAndEnv:
     pytest.param(["halve", "--x-file", "{full}", "--y-file", "{full}"], "estimator=bogus", None,
                  id="config-estimator-unknown"),
     pytest.param(["plane", "--q", "2"], "format=xml", None, id="config-format-unknown"),
+    pytest.param(["audit", "--q", "2", "--a", "2", "--b", "2", "--iters", "-5"], None, None,
+                 id="audit-iters-negative"),
+    pytest.param(["audit", "--q", "2", "--a", "2", "--b", "2"], "iters=-5", None,
+                 id="config-iters-negative"),
 ])
 def test_bad_input_exits_2(argv, config, env, tmp_path, monkeypatch, capsys):
     (tmp_path / "empty").write_bytes(b"")

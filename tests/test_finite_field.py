@@ -2,7 +2,6 @@ import pytest
 
 from skalab.errors import DivisionByZero, NotPrime, SpecMismatch, UnsupportedField
 from skalab.finite_field import (
-    Elt,
     build_field_spec,
     field_for_size,
     format_elt,

@@ -218,3 +218,29 @@ class TestC4Free:
 
     def test_zarankiewicz_bound_formula(self):
         assert zarankiewicz_bound(14, 14) == pytest.approx(7 * (1 + math.sqrt(53)))
+
+
+class TestZarankiewiczCap:
+    def test_balanced_cap_is_the_square_case_bit_for_bit(self):
+        for n in range(1, 2000):
+            assert zarankiewicz_bound(n, n) == 0.5 * n * (1.0 + math.sqrt(4.0 * n - 3.0))
+
+    def test_unbalanced_cap_is_the_smaller_reiman_bound(self):
+        assert zarankiewicz_bound(5, 2) == pytest.approx(2.5 * (1 + math.sqrt(2.6)))
+        assert zarankiewicz_bound(2, 5) == zarankiewicz_bound(5, 2)
+        assert zarankiewicz_bound(1, 7) == zarankiewicz_bound(7, 1) == 7
+
+    @pytest.mark.parametrize("q", (2, 3))
+    def test_exhaustive_optima_within_cap(self, q):
+        g = build_plane_graph(q)
+        for a in range(1, 8):
+            for b in range(1, 8):
+                _, count = dense_subgraph_search(g, a, b, "exhaustive")
+                assert count <= zarankiewicz_bound(a, b) + 1e-9, (a, b)
+
+    def test_fano_five_by_two_optimum_is_legal(self):
+        # two points lie on one common line, so five lines meet them 6 times
+        g = build_plane_graph(2)
+        query, count = dense_subgraph_search(g, 5, 2, "exhaustive")
+        assert count == 6
+        assert sdz_report(g, query).kst_bound == pytest.approx(2.5 * (1 + math.sqrt(2.6)))

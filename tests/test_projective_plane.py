@@ -4,7 +4,7 @@ import random
 import pytest
 
 from skalab.errors import ChartInvalid, UnsupportedField, ZeroVector
-from skalab.finite_field import build_field_spec, field_for_size
+from skalab.finite_field import build_field_spec
 from skalab.projective_plane import (
     ChartCoords,
     Flag,
