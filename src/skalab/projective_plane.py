@@ -9,9 +9,12 @@ the element indices of `FieldSpec.elements()`:
 
 which is the order of the flattened residue tuples (a0, a1 per coordinate),
 so ids are stable across runs.  `vertex_id` and `vertex_triple` convert
-between ids and canonical triples.  `Plane` enumerates flags on ids and
-field tables alone; `ProjPoint`/`ProjLine` objects are built only when a
-caller asks for them.
+between ids and canonical triples; `class_ids` gives the ids of any nonzero
+triples of element indices.  `line_points` lists the point ids of one line
+from the field tables.  `Plane` enumerates all flags with it, and
+`flag_ids_at` decodes a single flag index with it, so `sample_flag` needs no
+enumeration.  `ProjPoint`/`ProjLine` objects are built only when a caller
+asks for them.
 
 The affine chart maps a flag (line x, point y) with x0 != 0 and y2 != 0 to
 six subfield residues (f, r, g, t, h, s) via
@@ -26,8 +29,10 @@ ChartInvalid; they are excluded rather than re-coordinatized.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from .errors import ChartInvalid, SpecMismatch, UnsupportedField, ZeroVector
 from .finite_field import Elt, FieldSpec, field_for_size, format_elt, parse_elt
@@ -129,27 +134,104 @@ def incident(line: ProjLine, point: ProjPoint) -> bool:
     return acc.is_zero()
 
 
+def class_ids(spec: FieldSpec, triples) -> list[int]:
+    """Ids of the projective classes of nonzero triples of element indices.
+
+    Each triple is scaled by the table inverse of its first nonzero entry,
+    so any representative of a class gives the same id.
+    """
+    q = spec.size
+    _, mul, _, inv = spec.tables()
+    ids = []
+    for x0, x1, x2 in triples:
+        if x0:
+            s = inv[x0]
+            ids.append(1 + q + mul[x1][s] * q + mul[x2][s])
+        elif x1:
+            ids.append(1 + mul[x2][inv[x1]])
+        elif x2:
+            ids.append(0)
+        else:
+            raise ZeroVector("(0:0:0) is not a projective class")
+    return ids
+
+
 def vertex_id(coords: Triple) -> int:
-    """Closed-form id of a canonical triple (first nonzero coordinate 1)."""
-    c0, c1, c2 = coords
-    spec = c0.spec
-    if not c0.is_zero():
-        return 1 + spec.size + spec.index(c1) * spec.size + spec.index(c2)
-    if not c1.is_zero():
-        return 1 + spec.index(c2)
-    return 0
+    """Closed-form id of the projective class of a triple of elements."""
+    spec = coords[0].spec
+    [vid] = class_ids(spec, [tuple(map(spec.index, coords))])
+    return vid
+
+
+def vertex_indices(spec: FieldSpec, vid: int) -> tuple[int, int, int]:
+    """Canonical triple of a vertex id, as element indices."""
+    q = spec.size
+    one = spec.index(spec.one())
+    if vid == 0:
+        return (0, 0, one)
+    if vid <= q:
+        return (0, one, vid - 1)
+    b, c = divmod(vid - 1 - q, q)
+    return (one, b, c)
 
 
 def vertex_triple(spec: FieldSpec, vid: int) -> Triple:
     """Canonical triple of a vertex id; inverse of `vertex_id`."""
+    a, b, c = vertex_indices(spec, vid)
+    return (spec.element(a), spec.element(b), spec.element(c))
+
+
+def flag_count(q: int) -> int:
+    """Flags of PG(2,q): q^2+q+1 lines of q+1 points each."""
+    return (q * q + q + 1) * (q + 1)
+
+
+def line_points(spec: FieldSpec) -> Callable[[int], list[int]]:
+    """A function from a line id to the ids of its q+1 points, ascending.
+
+    Line x meets point y iff x0*y0 + x1*y1 + x2*y2 = 0.  With x2 != 0 the
+    line holds one point (0:1:beta) and, for each b, one point
+    (1:b:alpha + beta*b), where alpha = -x0/x2 and beta = -x1/x2; the lines
+    with x2 = 0 are (0:1:0) and (1:b:0).  Each case lists its point ids in
+    ascending order, so no sort is needed.
+    """
     q = spec.size
-    zero, one = spec.zero(), spec.one()
-    if vid == 0:
-        return (zero, zero, one)
-    if vid <= q:
-        return (zero, one, spec.element(vid - 1))
-    b, c = divmod(vid - 1 - q, q)
-    return (one, spec.element(b), spec.element(c))
+    add, mul, neg, inv = spec.tables()
+    row_base = [1 + q + b * q for b in range(q)]  # id of (1:b:0)
+
+    def points(lid: int) -> list[int]:
+        x0, x1, x2 = vertex_indices(spec, lid)
+        if x2:
+            x2inv = inv[x2]
+            alpha, beta = neg[mul[x0][x2inv]], neg[mul[x1][x2inv]]
+            shift, scale = add[alpha], mul[beta]
+            return [1 + beta] + [base + shift[scale[b]] for b, base in enumerate(row_base)]
+        if not x0:  # (0:1:0): y1 = 0
+            return [0, *range(1 + q, 1 + 2 * q)]
+        if not x1:  # (1:0:0): y0 = 0
+            return list(range(q + 1))
+        base = row_base[neg[inv[x1]]]  # (1:b:0), b != 0: y0 = -b*y1
+        return [0, *range(base, base + q)]
+
+    return points
+
+
+def flag_ids_at(spec: FieldSpec, index: int) -> tuple[int, int]:
+    """(line id, point id) of flag `index` in `Plane.flag_ids`, without enumerating.
+
+    Flags are sorted by (line id, point id) and every line has q+1 points, so
+    flag i is point i mod (q+1) of line i // (q+1).
+    """
+    q = spec.size
+    if not 0 <= index < flag_count(q):
+        raise IndexError(f"flag index {index} out of range for PG(2,{q})")
+    lid, k = divmod(index, q + 1)
+    return lid, line_points(spec)(lid)[k]
+
+
+def flag_from_ids(spec: FieldSpec, lid: int, pid: int) -> Flag:
+    """The flag object of a (line id, point id) pair."""
+    return Flag(ProjLine(vertex_triple(spec, lid)), ProjPoint(vertex_triple(spec, pid)))
 
 
 class Plane:
@@ -161,42 +243,11 @@ class Plane:
         self.flag_ids: list[tuple[int, int]] = self._enumerate_flags()
 
     def _enumerate_flags(self) -> list[tuple[int, int]]:
-        """All (line id, point id) incidences, in ascending order.
-
-        Line x meets point y iff x0*y0 + x1*y1 + x2*y2 = 0.  With x2 != 0
-        the line holds one point (0:1:beta) and, for each b, one point
-        (1:b:alpha + beta*b), where alpha = -x0/x2 and beta = -x1/x2; the
-        lines with x2 = 0 are (0:1:0) and (1:b:0).  Each line's point ids
-        come out ascending, so the list needs no sort.
-        """
-        q = self.q
-        add, mul, neg, inv = self.spec.tables()
-        one = self.spec.index(self.spec.one())
-        row_base = [1 + q + b * q for b in range(q)]  # id of (1:b:0)
+        """All (line id, point id) incidences, in ascending order."""
+        points = line_points(self.spec)
         pairs: list[tuple[int, int]] = []
-        for lid in range(1 + q + q * q):
-            if lid == 0:  # (0:0:1)
-                x0, x1, x2 = 0, 0, one
-            elif lid <= q:  # (0:1:c)
-                x0, x1, x2 = 0, one, lid - 1
-            else:  # (1:b:c)
-                x0 = one
-                x1, x2 = divmod(lid - 1 - q, q)
-            if x2:
-                x2inv = inv[x2]
-                alpha, beta = neg[mul[x0][x2inv]], neg[mul[x1][x2inv]]
-                shift, scale = add[alpha], mul[beta]
-                pairs.append((lid, 1 + beta))
-                pairs.extend([(lid, base + shift[scale[b]]) for b, base in enumerate(row_base)])
-            elif not x0:  # (0:1:0): y1 = 0
-                pairs.append((lid, 0))
-                pairs.extend([(lid, 1 + q + c) for c in range(q)])
-            elif not x1:  # (1:0:0): y0 = 0
-                pairs.extend([(lid, pid) for pid in range(q + 1)])
-            else:  # (1:b:0), b != 0: y0 = -b*y1
-                base = row_base[neg[inv[x1]]]
-                pairs.append((lid, 0))
-                pairs.extend([(lid, base + c) for c in range(q)])
+        for lid in range(self._n_vertices()):
+            pairs.extend(zip(repeat(lid), points(lid)))
         return pairs
 
     @cached_property
@@ -223,11 +274,7 @@ class Plane:
         return self.q * self.q + self.q + 1
 
     def flag(self, index: int) -> Flag:
-        lid, pid = self.flag_ids[index]
-        return Flag(
-            ProjLine(vertex_triple(self.spec, lid)),
-            ProjPoint(vertex_triple(self.spec, pid)),
-        )
+        return flag_from_ids(self.spec, *self.flag_ids[index])
 
     def index_of(self, flag: Flag) -> int:
         """Position of a flag in `flag_ids`."""
@@ -282,10 +329,13 @@ def from_chart(coords: ChartCoords) -> Flag:
 
 
 def sample_flag(q: int, seed: int) -> Flag:
-    """Uniformly random flag of PG(2,q), reproducible from the seed."""
-    plane = enumerate_plane(q)
+    """Uniformly random flag of PG(2,q), reproducible from the seed.
+
+    Draws one flag index and decodes it; the plane is not enumerated.
+    """
+    spec = field_for_size(q)
     rng = random.Random(seed)
-    return plane.flag(rng.randrange(len(plane.flag_ids)))
+    return flag_from_ids(spec, *flag_ids_at(spec, rng.randrange(flag_count(q))))
 
 
 def flag_to_json(flag: Flag) -> dict:

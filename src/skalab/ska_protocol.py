@@ -6,12 +6,19 @@ Alice answers m2 = g + f*h (recovered from her own parameters as u' - u''
 where x2' = u' + v'*xi and r*m1*xi^2 = u'' + v''*xi), and the shared key is
 f: Alice reads it off her input, Bob computes (m2 - g) * h^-1.
 
+Rounds 2 and 3 are small functions on subfield residues: `alice_m2`
+(xi^2 = u + v*xi and r*m1 lies in the prime subfield, so u'' = r*m1*u) and
+`bob_recover`, with `alice_u_prime` giving u' from a chart tuple.  The state
+machines (`AliceState`, `BobState`, `bob_round1`, `alice_round2`, `bob_key`)
+and the audit both call them.
+
 The transcript (m1, m2) is exactly uniformizing: for every transcript each
 key value is consistent with the same number of chart tuples, which
-`secrecy_audit` verifies by exhaustive enumeration.  Flags with h = 0 cannot
-finish (h is not invertible) and are reported as degenerate rather than
-re-randomized; flags outside the chart (x0 = 0 or y2 = 0) are reported as
-chart_invalid.
+`secrecy_audit` verifies by exhaustive enumeration, calling the step
+functions on every tuple and counting into a flat list.  Flags with h = 0
+cannot finish (h is not invertible) and are reported as degenerate rather
+than re-randomized; flags outside the chart (x0 = 0 or y2 = 0) are reported
+as chart_invalid.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ from dataclasses import dataclass
 from .errors import (
     ChartInvalid,
     DegenerateH,
+    InvariantViolation,
     NotCompleted,
     PhaseError,
     RoundMismatch,
+    SpecMismatch,
     TooLarge,
     UnsupportedField,
 )
@@ -70,6 +79,24 @@ def decode_message(data: bytes, p: int) -> Message:
     return Message(data[0], payload)
 
 
+def alice_u_prime(p: int, u: int, f: int, r: int, g: int, h: int, s: int) -> int:
+    """u' of -x2/x0 = u' + v'*xi for a chart tuple: g + f*h + r*s*u (mod p)."""
+    return (g + f * h + r * s * u) % p
+
+
+def alice_m2(p: int, u: int, u_p: int, r: int, m1: int) -> int:
+    """Round 2 payload: m2 = u' - u'' where r*m1*xi^2 = u'' + v''*xi.
+
+    r*m1 lies in the prime subfield and xi^2 = u + v*xi, so u'' = r*m1*u.
+    """
+    return (u_p - r * m1 * u) % p
+
+
+def bob_recover(p: int, g: int, h_inv: int, m2: int) -> int:
+    """Bob's key (m2 - g) * h^-1; `h_inv` is the inverse of h mod p."""
+    return (m2 - g) * h_inv % p
+
+
 class AliceState:
     """Line side: knows f, r (from x1/x0) and u', v' (from -x2/x0)."""
 
@@ -88,9 +115,8 @@ class AliceState:
         spec = chart.spec
         p = spec.p
         f, r, g, t, h, s = chart.as_tuple()
-        rs = r * s % p
-        u_p = (g + f * h + rs * spec.u) % p
-        v_p = (t + f * s + h * r + rs * spec.v) % p
+        u_p = alice_u_prime(p, spec.u, f, r, g, h, s)
+        v_p = (t + f * s + h * r + r * s * spec.v) % p
         return cls(spec, f, r, u_p, v_p)
 
     @classmethod
@@ -147,11 +173,10 @@ def alice_round2(alice: AliceState, m1: Message) -> Message:
     if m1.round != 1:
         raise RoundMismatch(f"expected round 1, got {m1.round}")
     spec = alice.spec
-    xi = spec.xi()
-    scaled = spec.elt(alice.r * m1.payload % spec.p) * (xi * xi)
-    u_pp, _ = scaled.decompose()
+    if spec.degree != 2:
+        raise SpecMismatch("xi exists only in quadratic extensions")
     alice.phase = "sent_m2"
-    return Message(2, (alice.u_p - u_pp) % spec.p)
+    return Message(2, alice_m2(spec.p, spec.u, alice.u_p, alice.r, m1.payload))
 
 
 def bob_key(bob: BobState, m2: Message) -> int:
@@ -163,7 +188,7 @@ def bob_key(bob: BobState, m2: Message) -> int:
     if bob.h == 0:
         raise DegenerateH("h = 0: the key equation is not invertible")
     p = bob.spec.p
-    key = (m2.payload - bob.g) * pow(bob.h, p - 2, p) % p
+    key = bob_recover(p, bob.g, pow(bob.h, p - 2, p), m2.payload)
     bob.phase = "done"
     return key
 
@@ -272,36 +297,40 @@ def secrecy_audit(q: int) -> SecrecyAudit:
     p = spec.p
     if p > AUDIT_MAX_P:
         raise TooLarge(f"exhaustive audit is capped at p <= {AUDIT_MAX_P}")
-    histogram: dict[tuple[int, int], dict[int, int]] = {}
+    u = spec.u
+    counts = [0] * p**3  # at (m1*p + m2)*p + key
     for f in range(p):
         for r in range(p):
             for g in range(p):
                 for t in range(p):
                     for h in range(1, p):
+                        h_inv = pow(h, p - 2, p)
                         for s in range(p):
-                            chart = ChartCoords(spec, f, r, g, t, h, s)
-                            alice = AliceState.from_chart(chart)
-                            bob = BobState.from_chart(chart)
-                            m1 = bob_round1(bob)
-                            m2 = alice_round2(alice, m1)
-                            key = bob_key(bob, m2)
-                            per_key = histogram.setdefault(
-                                (m1.payload, m2.payload), {}
-                            )
-                            per_key[key] = per_key.get(key, 0) + 1
+                            m1 = s  # Bob's round 1
+                            m2 = alice_m2(p, u, alice_u_prime(p, u, f, r, g, h, s), r, m1)
+                            key = bob_recover(p, g, h_inv, m2)
                             if key != f:
-                                raise AssertionError(
-                                    f"key mismatch at {chart}: {key} != {f}"
+                                raise InvariantViolation(
+                                    f"key mismatch at (f, r, g, t, h, s) = "
+                                    f"{(f, r, g, t, h, s)}: {key} != {f}"
                                 )
+                            counts[(m1 * p + m2) * p + key] += 1
+    histogram: dict[tuple[int, int], dict[int, int]] = {}
+    for m1 in range(p):
+        for m2 in range(p):
+            row = (m1 * p + m2) * p
+            per_key = {k: counts[row + k] for k in range(p) if counts[row + k]}
+            if per_key:
+                histogram[(m1, m2)] = per_key
     expected = (p - 1) * p * p
-    counts = [
+    key_counts = [
         per_key.get(k, 0)
         for per_key in histogram.values()
         for k in range(p)
     ]
     uniform = (
         len(histogram) == p * p
-        and all(c == expected for c in counts)
+        and all(c == expected for c in key_counts)
     )
     return SecrecyAudit(
         q=q,
@@ -309,7 +338,7 @@ def secrecy_audit(q: int) -> SecrecyAudit:
         transcripts=len(histogram),
         expected_per_key=expected,
         uniform=uniform,
-        min_count=min(counts),
-        max_count=max(counts),
+        min_count=min(key_counts),
+        max_count=max(key_counts),
         histogram=histogram,
     )

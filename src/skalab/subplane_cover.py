@@ -8,6 +8,16 @@ and taking images of H0 yields, with high probability, a family whose flags
 cover the whole plane.  Matrix (projective linear) maps already act
 transitively on flags, so field-automorphism twists are not needed and are
 not implemented.
+
+Maps are sampled and stored as `Elt` matrices, but they act on vertex ids:
+`Automorphism.index_form` gives both matrices as element indices, and
+`_image_ids` multiplies index triples through the field tables and returns
+the canonical ids of the images.  The cover scan sends, per map, the p^2+p+1
+Baer point ids and line ids to their image ids; each Baer flag (lid, pid)
+then maps to a flag index with one lookup.  The object-level `apply` runs on
+the same id path.  `COVER_MAX_WORK` bounds the work `build_cover` accepts:
+the flag images of the sampled maps plus the flags of the host plane, which
+the scan enumerates and marks.
 """
 
 from __future__ import annotations
@@ -20,9 +30,24 @@ from dataclasses import dataclass
 from .errors import SpecMismatch, TooLarge, UnsupportedField
 from .finite_field import Elt, FieldSpec, field_for_size, format_elt
 from .incidence_graph import SubgraphQuery
-from .projective_plane import Flag, Plane, ProjLine, ProjPoint, enumerate_plane
+from .projective_plane import (
+    Flag,
+    Plane,
+    class_ids,
+    enumerate_plane,
+    flag_count,
+    flag_from_ids,
+    vertex_indices,
+)
 
 Matrix = tuple[tuple[Elt, Elt, Elt], ...]
+IndexMatrix = tuple[tuple[int, int, int], ...]
+
+# Most work `build_cover` accepts, counted in flags: N maps times the
+# (p^2+p+1)(p+1) Baer flags each (before N is rounded up), plus the
+# (q^2+q+1)(q+1) flags of PG(2,q); about 10 s on a 2-vCPU host.
+# `cover --q 49 --c 3` needs 5.6 M.
+COVER_MAX_WORK = 10_000_000
 
 
 def det3(m: Matrix) -> Elt:
@@ -51,8 +76,18 @@ def _scale(m: Matrix, s: Elt) -> Matrix:
     return tuple(tuple(s * x for x in row) for row in m)
 
 
-def _mat_vec(m: Matrix, v) -> tuple[Elt, Elt, Elt]:
-    return tuple(m[r][0] * v[0] + m[r][1] * v[1] + m[r][2] * v[2] for r in range(3))
+def _image_ids(spec: FieldSpec, m: IndexMatrix, triples) -> list[int]:
+    """Vertex ids of the classes of m*v for each index triple v."""
+    add, mul, _, _ = spec.tables()
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+    return class_ids(spec, [
+        (
+            add[add[mul[a0][v0]][mul[a1][v1]]][mul[a2][v2]],
+            add[add[mul[b0][v0]][mul[b1][v1]]][mul[b2][v2]],
+            add[add[mul[c0][v0]][mul[c1][v1]]][mul[c2][v2]],
+        )
+        for v0, v1, v2 in triples
+    ])
 
 
 class Automorphism:
@@ -78,6 +113,14 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         return Automorphism(_transpose(self.inverse_transpose))
 
+    def index_form(self) -> tuple[IndexMatrix, IndexMatrix]:
+        """The matrix and its inverse transpose as element indices."""
+        index = self.spec.index
+        return tuple(
+            tuple(tuple(index(x) for x in row) for row in m)
+            for m in (self.matrix, self.inverse_transpose)
+        )
+
     def to_json_dict(self) -> dict:
         return {"matrix": [[format_elt(x) for x in row] for row in self.matrix]}
 
@@ -90,11 +133,13 @@ class Automorphism:
 
 def apply(m: Automorphism, flag: Flag) -> Flag:
     """Transform a flag: point by the matrix, line by the inverse transpose."""
-    if m.spec != flag.line.spec:
+    spec = m.spec
+    if spec != flag.line.spec:
         raise SpecMismatch("automorphism and flag fields differ")
-    point = ProjPoint(_mat_vec(m.matrix, flag.point.coords))
-    line = ProjLine(_mat_vec(m.inverse_transpose, flag.line.coords))
-    return Flag(line, point)
+    matrix, inverse_transpose = m.index_form()
+    [lid] = _image_ids(spec, inverse_transpose, [tuple(map(spec.index, flag.line.coords))])
+    [pid] = _image_ids(spec, matrix, [tuple(map(spec.index, flag.point.coords))])
+    return flag_from_ids(spec, lid, pid)
 
 
 def random_matrix(spec: FieldSpec, rng: random.Random) -> Matrix:
@@ -110,9 +155,10 @@ def random_matrix(spec: FieldSpec, rng: random.Random) -> Matrix:
 
 def _random_automorphism(spec: FieldSpec, rng: random.Random) -> Automorphism:
     while True:
-        m = random_matrix(spec, rng)
-        if not det3(m).is_zero():
-            return Automorphism(m)
+        try:
+            return Automorphism(random_matrix(spec, rng))
+        except ValueError:  # singular draw
+            continue
 
 
 def sample_automorphisms(q: int, count: int, seed: int) -> list[Automorphism]:
@@ -159,9 +205,11 @@ def flag_transitivity_check(q: int) -> bool:
     elements = list(spec.elements())
     orbit = set()
     for m in _all_matrices(elements):
-        if det3(m).is_zero():
+        try:
+            auto = Automorphism(m)
+        except ValueError:  # singular matrix
             continue
-        orbit.add(plane.index_of(apply(Automorphism(m), base)))
+        orbit.add(plane.index_of(apply(auto, base)))
     return len(orbit) == len(plane.flag_ids)
 
 
@@ -214,18 +262,31 @@ def cover_with_maps(
     A flag is covered by m iff apply(m^-1, flag) lands in H0; equivalently it
     is in the forward image of the H0 flags, which is what gets enumerated
     (apply(m, .) is a bijection on flags, so each map covers exactly |H0|
-    flags).
+    flags).  Each map sends the Baer point and line ids to their image ids,
+    and a Baer flag (lid, pid) to its image's flag index with one lookup;
+    automorphisms preserve incidence, so the image needs no check.
     """
     plane = enumerate_plane(q)
-    base_objs = [plane.flag(i) for i in sorted(baer_flag_ids(plane))]
+    spec = plane.spec
+    flag_index = plane.flag_index
+    ids = sorted(baer_subplane(q).left)  # lines and points share the ids
+    triples = [vertex_indices(spec, vid) for vid in ids]
+    base = [plane.flag_ids[i] for i in sorted(baer_flag_ids(plane))]
     covered = bytearray(len(plane.flag_ids))
     per_map = []
     for m in maps:
-        hits = set()
-        for flg in base_objs:
-            idx = plane.index_of(apply(m, flg))
+        if m.spec != spec:
+            raise SpecMismatch("automorphism and plane fields differ")
+        matrix, inverse_transpose = m.index_form()
+        pt = dict(zip(ids, _image_ids(spec, matrix, triples)))
+        ln = dict(zip(ids, _image_ids(spec, inverse_transpose, triples)))
+
+        def apply(lid, pid):  # per-flag image step; profiles count its calls
+            return flag_index[(ln[lid], pt[pid])]
+
+        hits = {apply(lid, pid) for lid, pid in base}
+        for idx in hits:
             covered[idx] = 1
-            hits.add(idx)
         per_map.append(len(hits))
     return CoverFamily(
         q=q,
@@ -238,13 +299,22 @@ def cover_with_maps(
 
 
 def cover_sample_count(q: int, c: float) -> int:
-    """ceil(c * p^3 * ln(total flags)) draws; PG(2,q) has (q^2+q+1)(q+1) flags."""
+    """ceil(c * p^3 * ln(flags of PG(2,q))) draws, within `COVER_MAX_WORK`.
+
+    Raises TooLarge, before any sampling or enumeration, when that many maps'
+    flag images (each maps the (p^2+p+1)(p+1) Baer flags) plus the flags of
+    PG(2,q) exceed the budget.
+    """
     spec = field_for_size(q)
     if spec.degree != 2:
         raise UnsupportedField("covering families need q = p^2")
-    n = c * spec.p**3 * math.log((q * q + q + 1) * (q + 1))
-    if n == math.inf:
-        raise TooLarge(f"c={c} gives an unbounded number of draws")
+    n = c * spec.p**3 * math.log(flag_count(q))
+    work = n * flag_count(spec.p) + flag_count(q)
+    if not work <= COVER_MAX_WORK:  # also refuses inf and nan
+        raise TooLarge(
+            f"c={c} at q={q} asks for {work:.3g} flags of work; "
+            f"the cover budget is {COVER_MAX_WORK:.3g}"
+        )
     return math.ceil(n)
 
 

@@ -10,10 +10,20 @@ Seeded generators for test inputs live here too.
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from skalab.finite_field import field_for_size
 from skalab.incidence_graph import BiGraph, SubgraphQuery, count_induced_edges
-from skalab.projective_plane import ProjLine, ProjPoint, enumerate_plane
+from skalab.projective_plane import (
+    ChartCoords,
+    Flag,
+    ProjLine,
+    ProjPoint,
+    chart_x2,
+    enumerate_plane,
+)
+from skalab.subplane_cover import baer_flag_ids
 
 
 # -- plane enumeration on objects ---------------------------------------------
@@ -72,6 +82,63 @@ def baer_subplane_scan(q: int) -> SubgraphQuery:
     left = {lid for lid, ln in enumerate(plane.lines) if all(c.a1 == 0 for c in ln.coords)}
     right = {pid for pid, pt in enumerate(plane.points) if all(c.a1 == 0 for c in pt.coords)}
     return SubgraphQuery.of(left, right)
+
+
+# -- covering scan on objects ----------------------------------------------------
+
+def _mat_vec(m, v):
+    return tuple(m[r][0] * v[0] + m[r][1] * v[1] + m[r][2] * v[2] for r in range(3))
+
+
+def apply_elt(m, flag):
+    """Image of a flag by `Elt` matrix-vector products and canonicalization."""
+    point = ProjPoint(_mat_vec(m.matrix, flag.point.coords))
+    line = ProjLine(_mat_vec(m.inverse_transpose, flag.line.coords))
+    return Flag(line, point)
+
+
+def cover_objects(q: int, maps) -> tuple[list[bool], list[int]]:
+    """(covered, per_map_counts) from one object image per Baer flag and map."""
+    plane = enumerate_plane(q)
+    base = [plane.flag(i) for i in sorted(baer_flag_ids(plane))]
+    covered = [False] * len(plane.flag_ids)
+    per_map = []
+    for m in maps:
+        hits = {plane.index_of(apply_elt(m, flg)) for flg in base}
+        for idx in hits:
+            covered[idx] = True
+        per_map.append(len(hits))
+    return covered, per_map
+
+
+# -- key agreement on elements ----------------------------------------------------
+
+def alice_m2_elt(spec, u_p: int, r: int, m1: int) -> int:
+    """Alice's round 2 as u' - u'', with u'' read off r*m1*xi^2 in GF(p^2)."""
+    xi = spec.xi()
+    u_pp, _ = (spec.elt(r * m1) * (xi * xi)).decompose()
+    return (u_p - u_pp) % spec.p
+
+
+def secrecy_histogram_objects(q: int) -> dict[tuple[int, int], dict[int, int]]:
+    """Transcript -> key histogram over G^6 with h != 0, on chart objects.
+
+    Alice's u' comes from the `Elt` chart reconstruction, her round 2 from
+    `alice_m2_elt`, and Bob's key from `Elt` division.
+    """
+    spec = field_for_size(q)
+    p = spec.p
+    histogram: dict[tuple[int, int], dict[int, int]] = {}
+    for f, r, g, t, h, s in itertools.product(range(p), repeat=6):
+        if h == 0:
+            continue
+        u_p, _ = chart_x2(ChartCoords(spec, f, r, g, t, h, s)).decompose()
+        m1 = s
+        m2 = alice_m2_elt(spec, u_p, r, m1)
+        key, _ = ((spec.elt(m2) - spec.elt(g)) / spec.elt(h)).decompose()
+        per_key = histogram.setdefault((m1, m2), {})
+        per_key[key] = per_key.get(key, 0) + 1
+    return histogram
 
 
 # -- incidence graph ------------------------------------------------------------

@@ -153,6 +153,19 @@ class TestSka:
         capsys.readouterr()
         assert code == 3
 
+    def test_key_mismatch_exits_3_without_traceback(self, monkeypatch, capsys):
+        # fault injection: Alice's round 2 answers one off on every tuple
+        import skalab.ska_protocol as ska
+
+        honest = ska.alice_m2
+        monkeypatch.setattr(ska, "alice_m2", lambda p, *args: (honest(p, *args) + 1) % p)
+        code = main(["ska", "audit", "--q", "9"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("skalab: invariant violation: key mismatch")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCover:
     def test_full_coverage(self):
@@ -172,6 +185,26 @@ class TestCover:
     def test_prime_q_exits_2(self):
         code, _, _ = run_cli("cover", "--q", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "9", "--c", "1e6"],
+        ["--q", "121"],  # default c = 3: about 94 M flags of work
+        ["--q", "169", "--c", "0.1"],
+        ["--q", "361", "--c", "0.001"],  # PG(2,361) alone has 47 M flags
+    ])
+    def test_over_budget_refused_before_work(self, argv, monkeypatch, capsys):
+        import skalab.subplane_cover as cover_mod
+
+        def no_work(*args):
+            raise AssertionError("sampling or enumeration started")
+
+        monkeypatch.setattr(cover_mod, "sample_automorphisms", no_work)
+        monkeypatch.setattr(cover_mod, "enumerate_plane", no_work)
+        code = main(["cover", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and err.count("\n") == 1
 
 
 class TestHalve:

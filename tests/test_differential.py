@@ -7,16 +7,25 @@ import pytest
 
 import oracles
 from skalab import incidence_graph
-from skalab.finite_field import field_for_size
+from skalab.finite_field import build_field_spec, field_for_size
 from skalab.incidence_graph import build_plane_graph, c4_free_check, dense_subgraph_search
 from skalab.projective_plane import (
     ProjPoint,
     canonicalize,
     enumerate_plane,
+    flag_ids_at,
+    sample_flag,
     vertex_id,
     vertex_triple,
 )
-from skalab.subplane_cover import baer_subplane, cover_sample_count
+from skalab.ska_protocol import alice_m2, secrecy_audit
+from skalab.subplane_cover import (
+    apply,
+    baer_subplane,
+    cover_sample_count,
+    cover_with_maps,
+    sample_automorphisms,
+)
 
 SUPPORTED_UP_TO_49 = (2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49)
 PLANE_QS = [q for q in SUPPORTED_UP_TO_49 if q <= 25] + [49]
@@ -79,6 +88,64 @@ class TestBaerIds:
         p = field_for_size(q).p
         for c in (0.01, 1.0, 3.0):
             assert cover_sample_count(q, c) == math.ceil(c * p**3 * math.log(flags))
+
+
+class TestFlagDecoder:
+    @pytest.mark.parametrize("q", [q for q in PLANE_QS if q <= 25])
+    def test_every_flag_index(self, q):
+        plane = enumerate_plane(q)
+        decoded = [flag_ids_at(plane.spec, i) for i in range(len(plane.flag_ids))]
+        assert decoded == plane.flag_ids
+
+    @pytest.mark.parametrize("q, seeds", [(4, 50), (9, 50), (25, 50), (49, 200)])
+    def test_sample_flag_matches_enumerated_flag(self, q, seeds):
+        plane = enumerate_plane(q)
+        for seed in range(seeds):
+            index = random.Random(seed).randrange(len(plane.flag_ids))
+            assert sample_flag(q, seed) == plane.flag(index)
+
+    def test_index_out_of_range(self):
+        spec = field_for_size(3)
+        for index in (-1, 52):
+            with pytest.raises(IndexError):
+                flag_ids_at(spec, index)
+
+
+class TestCoverScan:
+    # (q, c, seed).  Undersampled: c = 0.01 at q = 9 draws 2 maps, whose 2 * 52
+    # images cannot cover the 910 flags; c = 0.02 at q = 25 draws 25 maps for
+    # 25 * 186 images against 20,306 flags.
+    CASES = [(4, 1.0, 0), (4, 1.0, 1), (4, 0.2, 2), (9, 0.1, 0), (9, 0.1, 1),
+             (9, 0.01, 2), (25, 0.02, 0), (25, 0.02, 1)]
+
+    @pytest.mark.parametrize("q, c, seed", CASES)
+    def test_cover_with_maps_matches_object_scan(self, q, c, seed):
+        maps = sample_automorphisms(q, cover_sample_count(q, c), seed)
+        family = cover_with_maps(q, maps)
+        assert (family.covered, family.per_map_counts) == oracles.cover_objects(q, maps)
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 9, 25))
+    def test_apply_matches_elt_form(self, q):
+        plane = enumerate_plane(q)
+        for seed, m in enumerate(sample_automorphisms(q, 5, seed=q)):
+            for i in range(seed, len(plane.flag_ids), 1 + len(plane.flag_ids) // 60):
+                flag = plane.flag(i)
+                assert apply(m, flag) == oracles.apply_elt(m, flag)
+
+
+class TestKeyAgreement:
+    @pytest.mark.parametrize("q", (4, 9, 25))
+    def test_audit_histogram_matches_object_loop(self, q):
+        assert secrecy_audit(q).histogram == oracles.secrecy_histogram_objects(q)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    def test_alice_m2_matches_elt_form(self, p):
+        spec = build_field_spec(p, 2)
+        for r in range(p):
+            for m1 in range(p):
+                for u_p in range(p):
+                    want = oracles.alice_m2_elt(spec, u_p, r, m1)
+                    assert alice_m2(p, spec.u, u_p, r, m1) == want
 
 
 def _graphs():

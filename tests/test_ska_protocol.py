@@ -5,6 +5,7 @@ from skalab.errors import (
     NotCompleted,
     PhaseError,
     RoundMismatch,
+    SpecMismatch,
     TooLarge,
     UnsupportedField,
 )
@@ -80,6 +81,12 @@ class TestAliceRound2:
         alice = AliceState(F9, f=1, r=2, u_p=0, v_p=0)
         with pytest.raises(RoundMismatch):
             alice_round2(alice, Message(2, 1))
+
+    def test_prime_field_rejected(self):
+        alice = AliceState(build_field_spec(3, 1), f=1, r=2, u_p=0, v_p=0)
+        with pytest.raises(SpecMismatch):
+            alice_round2(alice, Message(1, 1))
+        assert alice.phase == "awaiting_m1"
 
     def test_phase_error(self):
         alice = AliceState(F9, f=1, r=2, u_p=0, v_p=0)

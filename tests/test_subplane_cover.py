@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from skalab import subplane_cover
 from skalab.errors import SpecMismatch, TooLarge, UnsupportedField
 from skalab.finite_field import build_field_spec, field_for_size
 from skalab.incidence_graph import build_plane_graph, count_induced_edges
-from skalab.projective_plane import enumerate_plane, incident
+from skalab.projective_plane import enumerate_plane, flag_count, incident
 from skalab.subplane_cover import (
+    COVER_MAX_WORK,
     Automorphism,
     apply,
     baer_subplane,
@@ -74,6 +76,10 @@ class TestApply:
         with pytest.raises(SpecMismatch):
             apply(m, flag)
 
+    def test_cover_spec_mismatch(self):
+        with pytest.raises(SpecMismatch):
+            cover_with_maps(25, sample_automorphisms(9, 1, seed=0))
+
     def test_inverse_transpose_identity(self):
         # inv^T multiplied against the transpose gives the identity matrix
         m = sample_automorphisms(9, 1, seed=11)[0]
@@ -104,6 +110,21 @@ class TestRandomAutomorphism:
         b = sample_automorphisms(9, 1, seed=4)[0]
         assert a.matrix == b.matrix
 
+    def test_one_determinant_per_draw(self, monkeypatch):
+        calls = {"det3": 0, "random_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, fn in (("det3", det3), ("random_matrix", random_matrix)):
+            monkeypatch.setattr(subplane_cover, name, counted(name, fn))
+        maps = sample_automorphisms(3, 200, seed=0)
+        assert len(maps) == 200 < calls["random_matrix"]  # some draws were singular
+        assert calls["det3"] == calls["random_matrix"]
+
     def test_acceptance_probability_q3(self):
         # fraction of uniform raw matrices that are invertible, vs |GL(3,3)|/3^9
         spec = build_field_spec(3, 1)
@@ -127,6 +148,29 @@ class TestFlagTransitivity:
 class TestBuildCover:
     def test_sample_count_formula(self):
         assert cover_sample_count(9, 3.0) == math.ceil(81 * math.log(910)) == 552
+
+    @pytest.mark.parametrize("q, c", [(9, 3.0), (25, 1.0), (25, 3.0), (49, 3.0)])
+    def test_used_sizes_fit_the_budget(self, q, c):
+        p = field_for_size(q).p
+        work = cover_sample_count(q, c) * flag_count(p) + flag_count(q)
+        assert work <= COVER_MAX_WORK
+
+    def test_over_budget_raises_too_large(self):
+        per_c = 27 * math.log(910) * flag_count(3)  # Baer flag images per unit c at q = 9
+        c = (COVER_MAX_WORK - flag_count(9)) / per_c
+        assert cover_sample_count(9, 0.999 * c) * flag_count(3) + flag_count(9) <= COVER_MAX_WORK
+        for too_much in (1.001 * c, 1e6, math.inf, math.nan):
+            with pytest.raises(TooLarge):
+                cover_sample_count(9, too_much)
+        with pytest.raises(TooLarge):
+            build_cover(9, c=1e6)
+
+    def test_budget_counts_the_host_plane(self):
+        # q = 121 fits only below c ~ 0.268; from q = 289 the plane alone is over
+        assert cover_sample_count(121, 0.26) == math.ceil(0.26 * 1331 * math.log(flag_count(121)))
+        for q, c in ((121, 0.28), (121, 3.0), (169, 0.06), (289, 1e-9), (361, 0.001)):
+            with pytest.raises(TooLarge):
+                cover_sample_count(q, c)
 
     def test_full_coverage_q9(self):
         family = build_cover(9, c=3.0, seed=0)
