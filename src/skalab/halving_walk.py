@@ -17,6 +17,10 @@ True conditional complexity is uncomputable, so estimators are injected.
 The shipped default backs the estimate with a general-purpose compressor;
 its Lipschitz constant is measured from the grid, never assumed, and
 `halve` makes no claim beyond the reported numbers.
+
+The grid stores its two components as flat float arrays, 16 B per node.
+`HALVE_MAX_WORK` bounds the estimator calls `halve` accepts,
+2(|x|+1)(|y|+1) + 2.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import (
     EstimatorFailure,
@@ -32,9 +38,11 @@ from .errors import (
     NumericalDegeneracy,
     OutOfDomain,
     TargetOnBoundary,
+    TooLarge,
 )
 
 BOUNDARY_EPS = 1e-9
+HALVE_MAX_WORK = 2_000_000
 
 Pair = tuple[float, float]
 
@@ -46,15 +54,21 @@ def pair_condition(x_prefix: bytes, y_prefix: bytes) -> bytes:
 
 def split_condition(condition: bytes) -> tuple[bytes, bytes]:
     """Inverse of pair_condition; the empty condition splits to two empties."""
+    n, _ = _split_lengths(condition)
+    return condition[4:4 + n], condition[4 + n:]
+
+
+def _split_lengths(condition: bytes) -> tuple[int, int]:
+    """Lengths of the two parts of a length-prefixed pair, without slicing."""
     if condition == b"":
-        return b"", b""
+        return 0, 0
     if len(condition) < 4:
         raise ValueError("condition too short for a length-prefixed pair")
-    (n,) = struct.unpack(">I", condition[:4])
-    body = condition[4:]
-    if n > len(body):
+    (n,) = struct.unpack_from(">I", condition)
+    rest = len(condition) - 4
+    if n > rest:
         raise ValueError("length prefix exceeds condition body")
-    return body[:n], body[n:]
+    return n, rest - n
 
 
 class ComplexityEstimator:
@@ -72,17 +86,32 @@ class ComplexityEstimator:
 
 
 class CompressionEstimator(ComplexityEstimator):
-    """est(a|b) = C(b||a) - C(b) for a deterministic general-purpose compressor."""
+    """est(a|b) = C(b||a) - C(b) for a deterministic general-purpose compressor.
+
+    C(b) of the last condition is kept, keyed on its exact bytes and the
+    level, so the two estimates at one grid node compress the condition once.
+    """
 
     lipschitz_bound = 16.0
 
     def __init__(self, level: int = 9):
         self.level = level
+        self._cached = None  # (condition bytes, level, C(condition))
+        # Each compress call allocates and frees ~256 KB of deflate state.
+        # Where that lands at the top of a glibc heap, the free top passes
+        # the 128 KB trim threshold and every call pays brk calls and page
+        # faults.  Freeing one mmap-backed 1 MB block raises the threshold
+        # to 2 MB (glibc's dynamic mmap threshold, mallopt(3)); on other
+        # allocators this is just a short-lived allocation.
+        bytes(1 << 20)
 
     def est(self, target: bytes, condition: bytes) -> float:
+        cached = self._cached
+        if cached is None or cached[0] != condition or cached[1] != self.level:
+            key = bytes(condition)
+            cached = self._cached = (key, self.level, len(zlib.compress(key, self.level)))
         joint = len(zlib.compress(condition + target, self.level))
-        base = len(zlib.compress(condition, self.level))
-        return float(max(0, joint - base))
+        return float(max(0, joint - cached[2]))
 
 
 class RampEstimator(ComplexityEstimator):
@@ -95,8 +124,7 @@ class RampEstimator(ComplexityEstimator):
         self.y = y
 
     def est(self, target: bytes, condition: bytes) -> float:
-        a_part, b_part = split_condition(condition)
-        alpha, beta = len(a_part), len(b_part)
+        alpha, beta = _split_lengths(condition)
         if target == self.x:
             return max(0.0, 2.0 * len(self.x) - alpha - beta / 2.0)
         if target == self.y:
@@ -114,11 +142,11 @@ class PrefixGapEstimator(ComplexityEstimator):
         self.y = y
 
     def est(self, target: bytes, condition: bytes) -> float:
-        a_part, b_part = split_condition(condition)
+        alpha, beta = _split_lengths(condition)
         if target == self.x:
-            return float(max(0, len(self.x) - len(a_part)))
+            return float(max(0, len(self.x) - alpha))
         if target == self.y:
-            return float(max(0, len(self.y) - len(b_part)))
+            return float(max(0, len(self.y) - beta))
         raise ValueError("prefix-gap estimator only evaluates its two bound strings")
 
 
@@ -136,59 +164,91 @@ def get_estimator(name: str, x: bytes, y: bytes) -> ComplexityEstimator:
 
 
 class GridMap:
-    """Value pairs on the (|x|+1) x (|y|+1) integer grid."""
+    """Value pairs on the (|x|+1) x (|y|+1) integer grid.
+
+    The two components live in flat float arrays indexed by
+    alpha * (height + 1) + beta: 16 B per node.
+    """
 
     def __init__(self, width: int, height: int, values: list[list[Pair]]):
         if width < 1 or height < 1:
             raise ValueError("grid needs width >= 1 and height >= 1")
         if len(values) != width + 1 or any(len(col) != height + 1 for col in values):
             raise ValueError("values must be indexed [alpha][beta] with full extent")
+        first, second = array("d"), array("d")
         for col in values:
             for v1, v2 in col:
                 if not (math.isfinite(v1) and math.isfinite(v2)):
                     raise ValueError("grid values must be finite")
+                first.append(v1)
+                second.append(v2)
         self.width = width
         self.height = height
-        self.values = values
+        self._v1 = first
+        self._v2 = second
+
+    @classmethod
+    def _from_arrays(cls, width: int, height: int, first: array, second: array) -> GridMap:
+        """Wrap already-validated component arrays without copying them."""
+        grid = cls.__new__(cls)
+        grid.width, grid.height, grid._v1, grid._v2 = width, height, first, second
+        return grid
 
     def at(self, alpha: int, beta: int) -> Pair:
-        return self.values[alpha][beta]
+        if not (0 <= alpha <= self.width and 0 <= beta <= self.height):
+            raise IndexError(f"node ({alpha}, {beta}) outside the grid")
+        k = alpha * (self.height + 1) + beta
+        return (self._v1[k], self._v2[k])
 
 
 def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
     """Evaluate the estimator at every prefix pair; estimator errors carry
-    the node coordinates."""
+    the node coordinates.  Raises TooLarge before the first estimator call
+    when `halve` on (x, y) would exceed `HALVE_MAX_WORK` estimator calls."""
     if len(x) < 1 or len(y) < 1:
         raise ValueError("both strings must be nonempty")
-    values: list[list[Pair]] = []
+    work = 2 * (len(x) + 1) * (len(y) + 1) + 2
+    if work > HALVE_MAX_WORK:
+        raise TooLarge(
+            f"halve on {len(x)} + {len(y)} bytes asks for {work} estimator calls; "
+            f"the halve budget is {HALVE_MAX_WORK}"
+        )
+    stride = len(y) + 1
+    first = array("d", [0.0]) * ((len(x) + 1) * stride)
+    second = array("d", [0.0]) * len(first)
+    isfinite = math.isfinite
+    k = 0
     for alpha in range(len(x) + 1):
-        col: list[Pair] = []
-        for beta in range(len(y) + 1):
-            z = pair_condition(x[:alpha], y[:beta])
+        head = struct.pack(">I", alpha) + x[:alpha]
+        for beta in range(stride):
+            z = head + y[:beta]
             try:
                 v1 = float(est.est(x, z))
                 v2 = float(est.est(y, z))
             except Exception as exc:
                 raise EstimatorFailure(f"estimator failed at node ({alpha}, {beta}): {exc}") from exc
-            if not (math.isfinite(v1) and math.isfinite(v2)) or v1 < 0 or v2 < 0:
+            if not (isfinite(v1) and isfinite(v2)) or v1 < 0 or v2 < 0:
                 raise EstimatorFailure(
                     f"estimator returned invalid value at node ({alpha}, {beta}): ({v1}, {v2})"
                 )
-            col.append((v1, v2))
-        values.append(col)
-    return GridMap(len(x), len(y), values)
+            first[k] = v1
+            second[k] = v2
+            k += 1
+    return GridMap._from_arrays(len(x), len(y), first, second)
 
 
 def measured_lipschitz(grid: GridMap) -> float:
     """Max per-component value change across grid-adjacent nodes."""
+    stride = grid.height + 1
     worst = 0.0
-    for i in range(grid.width + 1):
-        for j in range(grid.height + 1):
-            v = grid.at(i, j)
-            for ni, nj in ((i + 1, j), (i, j + 1)):
-                if ni <= grid.width and nj <= grid.height:
-                    w = grid.at(ni, nj)
-                    worst = max(worst, abs(w[0] - v[0]), abs(w[1] - v[1]))
+    for values in (grid._v1, grid._v2):
+        prev = None
+        for start in range(0, len(values), stride):
+            col = values[start:start + stride]
+            worst = max(worst, max(map(abs, map(sub, col[1:], col))))
+            if prev is not None:
+                worst = max(worst, max(map(abs, map(sub, col, prev))))
+            prev = col
     return worst
 
 
@@ -269,52 +329,36 @@ def winding_number(grid: GridMap, target: Pair) -> int:
     return round(total / (2.0 * math.pi))
 
 
-def _triangles(grid: GridMap):
-    """All triangles as vertex-node triples, fixed scan order."""
-    for i in range(grid.width):
-        for j in range(grid.height):
-            yield ((i, j), (i + 1, j), (i + 1, j + 1))
-            yield ((i, j), (i, j + 1), (i + 1, j + 1))
+def _scan_for_triangle(grid: GridMap, target: Pair):
+    """First triangle whose image contains the target, or None.
 
-
-def _barycentric_in_image(grid: GridMap, tri, target: Pair):
-    """Solve target = la*A + lb*B + lc*C in value space; None if degenerate."""
-    va = grid.at(*tri[0])
-    vb = grid.at(*tri[1])
-    vc = grid.at(*tri[2])
-    m00, m01 = vb[0] - va[0], vc[0] - va[0]
-    m10, m11 = vb[1] - va[1], vc[1] - va[1]
-    det = m00 * m11 - m01 * m10
-    if det == 0.0:
-        return None
-    rx, ry = target[0] - va[0], target[1] - va[1]
-    lb = (rx * m11 - ry * m01) / det
-    lc = (-rx * m10 + ry * m00) / det
-    return (1.0 - lb - lc, lb, lc)
-
-
-def _scan_for_triangle(grid: GridMap, target: Pair, tol: float):
-    """First triangle (in scan order) whose image contains the target.
-
-    Returns (triangle or None, whether the target grazed a degenerate image).
+    Scan order: cells by (i, j), in each cell the lower triangle
+    (i,j), (i+1,j), (i+1,j+1) before the upper (i,j), (i,j+1), (i+1,j+1).
+    Triangles with a degenerate (zero-area) image are skipped.
     """
-    saw_degenerate_hit = False
-    for tri in _triangles(grid):
-        lam = _barycentric_in_image(grid, tri, target)
-        if lam is None:
-            # degenerate image: the triangle maps onto a segment or point
-            pts = [grid.at(*v) for v in tri]
-            d = min(
-                _segment_distance(target, pts[i], pts[j])
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-            if d <= tol:
-                saw_degenerate_hit = True
-            continue
-        if all(l >= -1e-12 for l in lam):
-            return tri, saw_degenerate_hit
-    return None, saw_degenerate_hit
+    tx, ty = target
+    v1, v2 = grid._v1, grid._v2
+    height = grid.height
+    stride = height + 1
+    for i in range(grid.width):
+        for k in range(i * stride, i * stride + height):
+            a0, a1 = v1[k], v2[k]
+            kc = k + stride + 1
+            m01, m11 = v1[kc] - a0, v2[kc] - a1
+            rx, ry = tx - a0, ty - a1
+            for kb in (k + stride, k + 1):
+                m00, m10 = v1[kb] - a0, v2[kb] - a1
+                det = m00 * m11 - m01 * m10
+                if det == 0.0:
+                    continue
+                lb = (rx * m11 - ry * m01) / det
+                lc = (-rx * m10 + ry * m00) / det
+                if 1.0 - lb - lc >= -1e-12 and lb >= -1e-12 and lc >= -1e-12:
+                    j = k - i * stride
+                    if kb == k + 1:
+                        return ((i, j), (i, j + 1), (i + 1, j + 1))
+                    return ((i, j), (i + 1, j), (i + 1, j + 1))
+    return None
 
 
 def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
@@ -324,11 +368,11 @@ def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
         raise NotCovered(f"boundary image does not wind around {target}")
     scale = _polyline_scale(boundary_polyline(grid))
     tol = BOUNDARY_EPS * scale
-    tri, _ = _scan_for_triangle(grid, target, tol)
+    tri = _scan_for_triangle(grid, target)
     if tri is None:
         # target sits on a degenerate image edge: nudge once and rescan
         shifted = (target[0] + tol, target[1] + tol)
-        tri, _ = _scan_for_triangle(grid, shifted, tol)
+        tri = _scan_for_triangle(grid, shifted)
         if tri is None:
             raise NumericalDegeneracy(
                 f"no non-degenerate triangle image contains {target}"

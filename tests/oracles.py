@@ -11,9 +11,20 @@ Seeded generators for test inputs live here too.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import zlib
 
+from skalab.errors import EstimatorFailure, NotCovered, NumericalDegeneracy
 from skalab.finite_field import field_for_size
+from skalab.halving_walk import (
+    BOUNDARY_EPS,
+    ComplexityEstimator,
+    HalveReport,
+    boundary_polyline,
+    pair_condition,
+    winding_number,
+)
 from skalab.incidence_graph import BiGraph, SubgraphQuery, count_induced_edges
 from skalab.projective_plane import (
     ChartCoords,
@@ -180,6 +191,147 @@ def search_greedy_linear(g: BiGraph, a: int, b: int):
     return query, count_induced_edges(g, query)
 
 
+# -- halving walk on a list-of-tuples grid --------------------------------------
+
+class FourCompressionEstimator(ComplexityEstimator):
+    """est(a|b) = C(b||a) - C(b), compressing the condition on every call."""
+
+    lipschitz_bound = 16.0
+
+    def __init__(self, level: int = 9):
+        self.level = level
+
+    def est(self, target: bytes, condition: bytes) -> float:
+        joint = len(zlib.compress(condition + target, self.level))
+        base = len(zlib.compress(condition, self.level))
+        return float(max(0, joint - base))
+
+
+class TupleGrid:
+    """Value pairs as values[alpha][beta] = (v1, v2): about 112 B per node.
+
+    Duck-types `GridMap` for `winding_number`, `boundary_polyline` and
+    `pl_extend`, which read the grid only through `at`, `width`, `height`.
+    """
+
+    def __init__(self, width, height, values):
+        if width < 1 or height < 1:
+            raise ValueError("grid needs width >= 1 and height >= 1")
+        if len(values) != width + 1 or any(len(col) != height + 1 for col in values):
+            raise ValueError("values must be indexed [alpha][beta] with full extent")
+        for col in values:
+            for v1, v2 in col:
+                if not (math.isfinite(v1) and math.isfinite(v2)):
+                    raise ValueError("grid values must be finite")
+        self.width = width
+        self.height = height
+        self.values = values
+
+    def at(self, alpha, beta):
+        return self.values[alpha][beta]
+
+
+def build_tuple_grid(x: bytes, y: bytes, est) -> TupleGrid:
+    """Every prefix pair's estimates, one condition built per node, no budget."""
+    if len(x) < 1 or len(y) < 1:
+        raise ValueError("both strings must be nonempty")
+    values = []
+    for alpha in range(len(x) + 1):
+        col = []
+        for beta in range(len(y) + 1):
+            z = pair_condition(x[:alpha], y[:beta])
+            try:
+                v1 = float(est.est(x, z))
+                v2 = float(est.est(y, z))
+            except Exception as exc:
+                raise EstimatorFailure(f"estimator failed at node ({alpha}, {beta}): {exc}") from exc
+            if not (math.isfinite(v1) and math.isfinite(v2)) or v1 < 0 or v2 < 0:
+                raise EstimatorFailure(
+                    f"estimator returned invalid value at node ({alpha}, {beta}): ({v1}, {v2})"
+                )
+            col.append((v1, v2))
+        values.append(col)
+    return TupleGrid(len(x), len(y), values)
+
+
+def lipschitz_pairwise(grid) -> float:
+    """Max per-component change, node by node over both forward neighbors."""
+    worst = 0.0
+    for i in range(grid.width + 1):
+        for j in range(grid.height + 1):
+            v = grid.at(i, j)
+            for ni, nj in ((i + 1, j), (i, j + 1)):
+                if ni <= grid.width and nj <= grid.height:
+                    w = grid.at(ni, nj)
+                    worst = max(worst, abs(w[0] - v[0]), abs(w[1] - v[1]))
+    return worst
+
+
+def _barycentric(grid, tri, target):
+    va, vb, vc = (grid.at(*v) for v in tri)
+    m00, m01 = vb[0] - va[0], vc[0] - va[0]
+    m10, m11 = vb[1] - va[1], vc[1] - va[1]
+    det = m00 * m11 - m01 * m10
+    if det == 0.0:
+        return None
+    rx, ry = target[0] - va[0], target[1] - va[1]
+    lb = (rx * m11 - ry * m01) / det
+    lc = (-rx * m10 + ry * m00) / det
+    return (1.0 - lb - lc, lb, lc)
+
+
+def scan_triangles(grid, target):
+    """First triangle, lower before upper in each cell, whose image holds the target."""
+    for i in range(grid.width):
+        for j in range(grid.height):
+            for tri in (((i, j), (i + 1, j), (i + 1, j + 1)),
+                        ((i, j), (i, j + 1), (i + 1, j + 1))):
+                lam = _barycentric(grid, tri, target)
+                if lam is not None and all(l >= -1e-12 for l in lam):
+                    return tri
+    return None
+
+
+def find_preimage_tuples(grid, target):
+    """Nearest vertex of the first covering triangle, one nudge on a miss."""
+    if winding_number(grid, target) == 0:
+        raise NotCovered(f"boundary image does not wind around {target}")
+    poly = boundary_polyline(grid)
+    scale = max(max(p[0] for p in poly) - min(p[0] for p in poly),
+                max(p[1] for p in poly) - min(p[1] for p in poly), 1.0)
+    tol = BOUNDARY_EPS * scale
+    tri = scan_triangles(grid, target)
+    if tri is None:
+        tri = scan_triangles(grid, (target[0] + tol, target[1] + tol))
+        if tri is None:
+            raise NumericalDegeneracy(f"no non-degenerate triangle image contains {target}")
+    best_node, best_dist = None, math.inf
+    for node in sorted(tri):
+        v = grid.at(*node)
+        d = math.hypot(v[0] - target[0], v[1] - target[1])
+        if d < best_dist - 1e-15:
+            best_node, best_dist = node, d
+    return best_node, best_dist
+
+
+def halve_tuples(x: bytes, y: bytes, est) -> HalveReport:
+    """The halving pipeline on a `TupleGrid`."""
+    grid = build_tuple_grid(x, y, est)
+    target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
+    measured = lipschitz_pairwise(grid)
+    winding = winding_number(grid, target)
+    alpha = beta = achieved = residual = None
+    if winding != 0:
+        (alpha, beta), residual = find_preimage_tuples(grid, target)
+        achieved = grid.at(alpha, beta)
+    return HalveReport(
+        nx=len(x), ny=len(y), target=target, winding=winding,
+        status="ok" if winding != 0 else "not_covered",
+        alpha=alpha, beta=beta, achieved=achieved, residual=residual,
+        lipschitz_declared=est.lipschitz_bound, lipschitz_measured=measured,
+    )
+
+
 # -- seeded inputs --------------------------------------------------------------
 
 def random_graph(seed: int) -> BiGraph:
@@ -195,3 +347,46 @@ def random_graph(seed: int) -> BiGraph:
     right_ids = [2 * i + 1 for i in range(n_right)]
     edges = {(l, r) for l in left_ids for r in right_ids if rng.random() < density}
     return BiGraph(left_ids, right_ids, edges)
+
+
+def random_halve_input(rng: random.Random, max_len: int = 24) -> tuple[bytes, bytes]:
+    """Two nonempty strings of at most `max_len` bytes: random, low-entropy,
+    shared-suffix or equal."""
+    def draw():
+        n = rng.randint(1, max_len)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randbytes(n)
+        if kind == 1:
+            return bytes(rng.choice(b"ab ") for _ in range(n))
+        return (b"abc" * n)[:n]
+
+    x = draw()
+    shape = rng.randrange(5)
+    if shape == 0:
+        return x, x
+    y = draw()
+    if shape == 1:
+        tail = rng.randbytes(rng.randint(1, 8))
+        return (x + tail)[-max_len:], (y + tail)[-max_len:]
+    return x, y
+
+
+def random_grid_values(rng: random.Random, kind: str) -> tuple[int, int, list]:
+    """(width, height, values[alpha][beta]) for a seeded grid fixture.
+
+    `float`: uniform reals; `int`: small integers, so ties and exactly
+    collinear images are common; `degenerate`: the two components are
+    affinely dependent, so every triangle image has zero area; `fold`: a
+    map that folds the grid over itself."""
+    w, h = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "float":
+        fn = lambda i, j: (rng.uniform(-5, 20), rng.uniform(-5, 20))  # noqa: E731
+    elif kind == "int":
+        fn = lambda i, j: (rng.randint(0, 4), rng.randint(0, 4))  # noqa: E731
+    elif kind == "degenerate":
+        a, b = rng.choice((0.0, 1.0, -2.0)), rng.choice((0.0, 3.0))
+        fn = lambda i, j: (float(i + j), a * (i + j) + b)  # noqa: E731
+    else:
+        fn = lambda i, j: (float(abs(i - w / 2) + j), float(j - i))  # noqa: E731
+    return w, h, [[fn(i, j) for j in range(h + 1)] for i in range(w + 1)]

@@ -228,6 +228,25 @@ class TestHalve:
         assert code == 2
         assert b"cannot read" in err
 
+    @pytest.mark.parametrize("estimator", ["zlib", "ramp", "prefix-gap"])
+    def test_over_budget_refused_before_any_estimate(self, estimator, tmp_path, monkeypatch,
+                                                     capsys):
+        import skalab.halving_walk as walk
+
+        def no_work(*args):
+            raise AssertionError("estimator called")
+
+        for cls in (walk.CompressionEstimator, walk.RampEstimator, walk.PrefixGapEstimator):
+            monkeypatch.setattr(cls, "est", no_work)
+        (tmp_path / "x").write_bytes(bytes(999))
+        (tmp_path / "y").write_bytes(bytes(999))
+        code = main(["halve", "--estimator", estimator,
+                     "--x-file", str(tmp_path / "x"), "--y-file", str(tmp_path / "y")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("skalab: ") and "budget" in err and err.count("\n") == 1
+
 
 class TestConfigAndEnv:
     def test_config_file_supplies_defaults(self, tmp_path):

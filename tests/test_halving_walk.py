@@ -1,15 +1,21 @@
 import math
 import random
+import tracemalloc
+import zlib
 
 import pytest
 
+import oracles
+from skalab import halving_walk
 from skalab.errors import (
     EstimatorFailure,
     NotCovered,
     OutOfDomain,
     TargetOnBoundary,
+    TooLarge,
 )
 from skalab.halving_walk import (
+    HALVE_MAX_WORK,
     CompressionEstimator,
     ComplexityEstimator,
     GridMap,
@@ -238,6 +244,14 @@ class TestFindPreimage:
         with pytest.raises(NotCovered):
             find_preimage(identity_grid(), (20.0, 4.0))
 
+    def test_containment_tolerance_is_1e_12(self):
+        # the target misses the lower triangle (0,0),(1,0),(1,1) by a
+        # barycentric 2e-10, so the upper triangle holds it; a looser
+        # tolerance would take the lower one and return its vertex (1, 0)
+        values = [[(0.0, 0.0), (-50.0, 60.0)], [(5.5, 4.5), (10.0, 10.0)]]
+        node, _ = find_preimage(GridMap(1, 1, values), (5.0 - 1e-10, 5.0 + 1e-10))
+        assert node == (0, 0)
+
     def test_residual_bounded_by_triangle_diameter(self):
         rng = random.Random(5)
         hits = 0
@@ -362,3 +376,93 @@ class TestEstimatorRegistry:
     def test_boundary_polyline_length(self):
         grid = identity_grid(5, 3)
         assert len(boundary_polyline(grid)) == 2 * (5 + 3)
+
+
+class TestGridStorage:
+    def test_at_returns_tuples_and_rejects_outside_nodes(self):
+        grid = grid_from_fn(2, 3, lambda i, j: (i, 10 * j))
+        assert grid.at(2, 3) == (2.0, 30.0) and type(grid.at(2, 3)) is tuple
+        for alpha, beta in ((3, 0), (0, 4), (-1, 0)):
+            with pytest.raises(IndexError):
+                grid.at(alpha, beta)
+
+    @pytest.mark.parametrize("values", [
+        [[(0.0, 0.0)] * 2],
+        [[(0.0, 0.0)] * 2, [(0.0, 0.0)]],
+        [[(0.0, 0.0)] * 2, [(0.0, math.nan), (0.0, 0.0)]],
+        [[(0.0, 0.0)] * 2, [(0.0, 0.0), (math.inf, 0.0)]],
+    ])
+    def test_constructor_checks(self, values):
+        with pytest.raises(ValueError):
+            GridMap(1, 1, values)
+
+    def test_build_grid_peak_near_16_bytes_per_node(self):
+        # ~200 + 200 ramp input: 40,401 nodes; the tuple grid needs ~112 B each
+        x, y = bytes(range(200)), bytes(range(55, 255))
+        bound = 2 * 16 * (len(x) + 1) * (len(y) + 1)
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                grid = build(x, y, RampEstimator(x, y))
+                return tracemalloc.get_traced_memory()[1], grid
+            finally:
+                tracemalloc.stop()
+
+        flat, grid = peak(build_grid)
+        tuples, ref = peak(oracles.build_tuple_grid)
+        assert grid.at(200, 200) == ref.at(200, 200)
+        assert flat <= bound < tuples
+
+
+class TestSharedCondition:
+    @pytest.fixture
+    def compressions(self, monkeypatch):
+        calls = []
+
+        class CountingZlib:
+            def compress(self, data, *args):
+                calls.append(bytes(data))
+                return zlib.compress(data, *args)
+
+        monkeypatch.setattr(halving_walk, "zlib", CountingZlib())
+        return calls
+
+    def test_three_compressions_per_node(self, compressions):
+        rng = random.Random(11)
+        x, y = rng.randbytes(9), rng.randbytes(6)
+        halve(x, y, CompressionEstimator())
+        assert len(compressions) == 3 * (len(x) + 1) * (len(y) + 1) + 3
+
+    def test_mutated_condition_is_not_stale(self, compressions):
+        est, fresh = CompressionEstimator(), oracles.FourCompressionEstimator()
+        cond = bytearray(b"\x00\x00\x00\x02ababab")
+        first = est.est(b"abab", cond)
+        cond[4:] = b"qzjxwv"
+        assert est.est(b"abab", cond) == fresh.est(b"abab", bytes(cond)) != first
+
+    def test_alternating_conditions(self, compressions):
+        est, fresh = CompressionEstimator(), oracles.FourCompressionEstimator()
+        conds = [b"", b"\x00\x00\x00\x01aaaa", b"\x00\x00\x00\x03xyzxyz"]
+        for k in range(12):
+            cond, target = conds[k % 3], conds[(k * 2 + 1) % 3] + b"tail"
+            assert est.est(target, cond) == fresh.est(target, cond)
+        assert len(compressions) == 24  # every condition change recompresses it
+
+
+class TestHalveBudget:
+    def test_every_test_and_benchmark_size_fits(self):
+        assert 2 * (768 + 1) * (768 + 1) + 2 <= HALVE_MAX_WORK
+
+    @pytest.mark.parametrize("n, refused", [(998, False), (999, True)])
+    def test_refused_before_the_first_estimate(self, n, refused):
+        calls = []
+
+        class Recording(ComplexityEstimator):
+            def est(self, target, condition):
+                calls.append(condition)
+                raise RuntimeError("stop")
+
+        with pytest.raises(TooLarge if refused else EstimatorFailure):
+            build_grid(bytes(n), bytes(n), Recording())
+        assert len(calls) == (0 if refused else 1)
