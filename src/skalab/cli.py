@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage or unsupported input, 3 invariant violation
 detected by an audit.  Output is byte-identical for identical (command,
-config, seed).  `--threads` is accepted and ignored; every command runs
-serially.
+config, seed).  `--threads` is accepted and ignored on `audit` and `cover`,
+which run serially.  `halve --estimator zlib` uses one helper thread for
+compression when more than one CPU is available; its output bytes do not
+depend on scheduling.
 
 Defaults come from, in increasing precedence: built-ins, a flat key=value
 config file (`--config`), the SKALAB_SEED environment variable (seed only),

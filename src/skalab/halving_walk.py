@@ -20,13 +20,23 @@ its Lipschitz constant is measured from the grid, never assumed, and
 
 The grid stores its two components as flat float arrays, 16 B per node.
 `HALVE_MAX_WORK` bounds the estimator calls `halve` accepts,
-2(|x|+1)(|y|+1) + 2.
+2(|x|+1)(|y|+1) + 2, and `HALVE_MAX_ZLIB_BYTES` the bytes the `zlib`
+estimator compresses, `CompressionEstimator.halve_bytes`.
+
+An estimator with a `prefetch` method (the `zlib` one) gets one helper
+thread when more than one CPU is available: it precomputes the compressed
+lengths of the odd columns while the calling thread computes the even ones.
+Every estimate is still made by `est` on the calling thread, in the same
+order, from lengths that depend only on their input bytes, so the grid does
+not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -43,6 +53,7 @@ from .errors import (
 
 BOUNDARY_EPS = 1e-9
 HALVE_MAX_WORK = 2_000_000
+HALVE_MAX_ZLIB_BYTES = 100_000_000
 
 Pair = tuple[float, float]
 
@@ -90,12 +101,16 @@ class CompressionEstimator(ComplexityEstimator):
 
     C(b) of the last condition is kept, keyed on its exact bytes and the
     level, so the two estimates at one grid node compress the condition once.
+    `memo` maps exact bytes to (level, compressed length), as `prefetch`
+    returns them; an input found there at the current level is not
+    compressed again, and any other input is.
     """
 
     lipschitz_bound = 16.0
 
     def __init__(self, level: int = 9):
         self.level = level
+        self.memo: dict[bytes, tuple[int, int]] = {}
         self._cached = None  # (condition bytes, level, C(condition))
         # Each compress call allocates and frees ~256 KB of deflate state.
         # Where that lands at the top of a glibc heap, the free top passes
@@ -105,12 +120,43 @@ class CompressionEstimator(ComplexityEstimator):
         # allocators this is just a short-lived allocation.
         bytes(1 << 20)
 
+    @staticmethod
+    def halve_bytes(nx: int, ny: int) -> int:
+        """Bytes `halve` compresses on nx + ny input bytes.
+
+        Each of the N = (nx+1)(ny+1) nodes compresses its condition z once
+        and z||x, z||y once each, where |z| = 4 + alpha + beta; the target
+        compresses the empty condition, x and y.
+        """
+        n = (nx + 1) * (ny + 1)
+        conditions = 4 * n + (ny + 1) * nx * (nx + 1) // 2 + (nx + 1) * ny * (ny + 1) // 2
+        return 3 * conditions + (nx + ny) * n + nx + ny
+
+    def prefetch(self, targets, conditions) -> dict[bytes, tuple[int, int]]:
+        """{input: (level, compressed length)} for each condition and each
+        condition || target, compressed as `est` would; reads only `level`,
+        so it may run on another thread."""
+        level = self.level
+        lengths = {}
+        for z in conditions:
+            lengths[z] = (level, len(zlib.compress(z, level)))
+            for t in targets:
+                joint = z + t
+                lengths[joint] = (level, len(zlib.compress(joint, level)))
+        return lengths
+
+    def _compressed_length(self, data) -> int:
+        hit = self.memo.get(data) if type(data) is bytes else None
+        if hit is not None and hit[0] == self.level:
+            return hit[1]
+        return len(zlib.compress(data, self.level))
+
     def est(self, target: bytes, condition: bytes) -> float:
         cached = self._cached
         if cached is None or cached[0] != condition or cached[1] != self.level:
             key = bytes(condition)
-            cached = self._cached = (key, self.level, len(zlib.compress(key, self.level)))
-        joint = len(zlib.compress(condition + target, self.level))
+            cached = self._cached = (key, self.level, self._compressed_length(key))
+        joint = self._compressed_length(condition + target)
         return float(max(0, joint - cached[2]))
 
 
@@ -201,10 +247,69 @@ class GridMap:
         return (self._v1[k], self._v2[k])
 
 
+class _OddColumnPrefetch:
+    """A helper thread that runs `est.prefetch` on the odd columns, in order.
+
+    `install(alpha)` sets `est.memo` for column alpha: {} for an even
+    column, else the helper's lengths once they are ready, or {} when the
+    helper stopped early.  A semaphore keeps the helper at most two columns
+    ahead of `install`, so at most three columns' lengths are held at once.
+    `close` stops and joins the helper and empties `est.memo`.
+    """
+
+    def __init__(self, x: bytes, y: bytes, est):
+        self._x, self._y, self._est = x, y, est
+        self._ready = {alpha: threading.Event() for alpha in range(1, len(x) + 1, 2)}
+        self._lengths: dict[int, dict] = {}
+        self._ahead = threading.Semaphore(2)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, name="halve-prefetch", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        x, y = self._x, self._y
+        try:
+            for alpha, ready in self._ready.items():
+                self._ahead.acquire()
+                if self._stop.is_set():
+                    return
+                head = struct.pack(">I", alpha) + x[:alpha]
+                conditions = [head + y[:beta] for beta in range(len(y) + 1)]
+                self._lengths[alpha] = self._est.prefetch((x, y), conditions)
+                ready.set()
+        except Exception:
+            # Prefetching only saves time: without a column's lengths the
+            # caller's `est` compresses them itself, to the same values.
+            return
+        finally:
+            for ready in self._ready.values():
+                ready.set()
+
+    def install(self, alpha: int) -> None:
+        if alpha % 2 == 0:
+            self._est.memo = {}
+            return
+        self._ready[alpha].wait()
+        self._ahead.release()
+        self._est.memo = self._lengths.pop(alpha, {})
+
+    def close(self) -> None:
+        self._stop.set()
+        self._ahead.release()
+        self._thread.join()
+        self._est.memo = {}
+
+
 def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
     """Evaluate the estimator at every prefix pair; estimator errors carry
     the node coordinates.  Raises TooLarge before the first estimator call
-    when `halve` on (x, y) would exceed `HALVE_MAX_WORK` estimator calls."""
+    when `halve` on (x, y) would exceed `HALVE_MAX_WORK` estimator calls or,
+    for the `zlib` estimator, `HALVE_MAX_ZLIB_BYTES` compressed bytes.
+
+    When `est` has `prefetch` and more than one CPU is available, a helper
+    thread prefetches the odd columns and each one's lengths are installed
+    as `est.memo` while the column is computed; the helper is joined before
+    this function returns or raises."""
     if len(x) < 1 or len(y) < 1:
         raise ValueError("both strings must be nonempty")
     work = 2 * (len(x) + 1) * (len(y) + 1) + 2
@@ -213,27 +318,43 @@ def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
             f"halve on {len(x)} + {len(y)} bytes asks for {work} estimator calls; "
             f"the halve budget is {HALVE_MAX_WORK}"
         )
+    if isinstance(est, CompressionEstimator):
+        fed = est.halve_bytes(len(x), len(y))
+        if fed > HALVE_MAX_ZLIB_BYTES:
+            raise TooLarge(
+                f"halve on {len(x)} + {len(y)} bytes compresses {fed} bytes; "
+                f"the zlib budget is {HALVE_MAX_ZLIB_BYTES}"
+            )
     stride = len(y) + 1
     first = array("d", [0.0]) * ((len(x) + 1) * stride)
     second = array("d", [0.0]) * len(first)
     isfinite = math.isfinite
     k = 0
-    for alpha in range(len(x) + 1):
-        head = struct.pack(">I", alpha) + x[:alpha]
-        for beta in range(stride):
-            z = head + y[:beta]
-            try:
-                v1 = float(est.est(x, z))
-                v2 = float(est.est(y, z))
-            except Exception as exc:
-                raise EstimatorFailure(f"estimator failed at node ({alpha}, {beta}): {exc}") from exc
-            if not (isfinite(v1) and isfinite(v2)) or v1 < 0 or v2 < 0:
-                raise EstimatorFailure(
-                    f"estimator returned invalid value at node ({alpha}, {beta}): ({v1}, {v2})"
-                )
-            first[k] = v1
-            second[k] = v2
-            k += 1
+    helper = None
+    if hasattr(est, "prefetch") and (os.cpu_count() or 1) > 1:
+        helper = _OddColumnPrefetch(x, y, est)
+    try:
+        for alpha in range(len(x) + 1):
+            if helper is not None:
+                helper.install(alpha)
+            head = struct.pack(">I", alpha) + x[:alpha]
+            for beta in range(stride):
+                z = head + y[:beta]
+                try:
+                    v1 = float(est.est(x, z))
+                    v2 = float(est.est(y, z))
+                except Exception as exc:
+                    raise EstimatorFailure(f"estimator failed at node ({alpha}, {beta}): {exc}") from exc
+                if not (isfinite(v1) and isfinite(v2)) or v1 < 0 or v2 < 0:
+                    raise EstimatorFailure(
+                        f"estimator returned invalid value at node ({alpha}, {beta}): ({v1}, {v2})"
+                    )
+                first[k] = v1
+                second[k] = v2
+                k += 1
+    finally:
+        if helper is not None:
+            helper.close()
     return GridMap._from_arrays(len(x), len(y), first, second)
 
 

@@ -254,6 +254,11 @@ def build_tuple_grid(x: bytes, y: bytes, est) -> TupleGrid:
     return TupleGrid(len(x), len(y), values)
 
 
+def grid_nodes(grid) -> list:
+    """Every node's value pair, column by column."""
+    return [grid.at(i, j) for i in range(grid.width + 1) for j in range(grid.height + 1)]
+
+
 def lipschitz_pairwise(grid) -> float:
     """Max per-component change, node by node over both forward neighbors."""
     worst = 0.0
@@ -370,6 +375,14 @@ def random_halve_input(rng: random.Random, max_len: int = 24) -> tuple[bytes, by
         tail = rng.randbytes(rng.randint(1, 8))
         return (x + tail)[-max_len:], (y + tail)[-max_len:]
     return x, y
+
+
+WORDS = ("plane", "point", "line", "flag", "key", "grid", "walk", "half", "prefix", "node")
+
+
+def word_text(rng: random.Random, n: int) -> bytes:
+    """`n` bytes of space-separated words from a small fixed vocabulary."""
+    return " ".join(rng.choice(WORDS) for _ in range(n)).encode("ascii")[:n]
 
 
 def random_grid_values(rng: random.Random, kind: str) -> tuple[int, int, list]:

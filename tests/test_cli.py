@@ -248,6 +248,25 @@ class TestHalve:
         assert err.startswith("skalab: ") and "budget" in err and err.count("\n") == 1
 
 
+    def test_zlib_byte_budget_refused_before_any_estimate(self, tmp_path, monkeypatch, capsys):
+        import skalab.halving_walk as walk
+
+        def no_work(*args):
+            raise AssertionError("estimator called")
+
+        monkeypatch.setattr(walk.CompressionEstimator, "est", no_work)
+        monkeypatch.setattr(walk.CompressionEstimator, "prefetch", no_work)
+        # within the call budget, over the zlib byte budget
+        (tmp_path / "x").write_bytes(bytes(270))
+        (tmp_path / "y").write_bytes(bytes(270))
+        code = main(["halve", "--estimator", "zlib",
+                     "--x-file", str(tmp_path / "x"), "--y-file", str(tmp_path / "y")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("skalab: ") and "zlib budget" in err and err.count("\n") == 1
+
+
 class TestConfigAndEnv:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

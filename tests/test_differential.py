@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -209,33 +210,53 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _nodes(grid):
-    return [grid.at(i, j) for i in range(grid.width + 1) for j in range(grid.height + 1)]
+def _zlib_path_cases():
+    """Widths 1, 2 and odd/even, x == y, random bytes and word text."""
+    rng = random.Random("halve:zlib:paths")
+    text = oracles.word_text(rng, 11)
+    cases = [(b"a", b"xyz"), (b"ab", b"ab"), (text, text)]
+    for nx in (1, 2, 5, 6, 7, 8):
+        ny = rng.randint(1, 9)
+        cases.append((rng.randbytes(nx), rng.randbytes(ny)))
+        cases.append((oracles.word_text(rng, nx), oracles.word_text(rng, ny)))
+    return cases + [oracles.random_halve_input(rng) for _ in range(12)]
+
+
+def _halve_statuses(cases, estimators) -> set:
+    """Compare grid, Lipschitz maximum and `halve` outcome with the oracle on
+    each (x, y); `estimators(x, y)` gives (est, ref).  Returns the statuses."""
+    statuses = set()
+    for x, y in cases:
+        est, ref = estimators(x, y)
+        grid, ref_grid = build_grid(x, y, est), oracles.build_tuple_grid(x, y, ref)
+        assert oracles.grid_nodes(grid) == oracles.grid_nodes(ref_grid)
+        assert measured_lipschitz(grid) == oracles.lipschitz_pairwise(ref_grid)
+        got = _outcome(halve, x, y, est)
+        want = _outcome(oracles.halve_tuples, x, y, ref)
+        if isinstance(got, tuple):
+            assert got == want
+            statuses.add(got[0].__name__)
+        else:
+            assert got.to_json_dict() == want.to_json_dict()
+            statuses.add(got.status)
+    return statuses
+
+
+def _zlib_pair(x, y):
+    return CompressionEstimator(), oracles.FourCompressionEstimator()
 
 
 class TestHalvingWalk:
     @pytest.mark.parametrize("estimator, cases", [("zlib", 24), ("ramp", 40), ("prefix-gap", 40)])
     def test_halve_matches_tuple_grid(self, estimator, cases):
         rng = random.Random(f"halve:{estimator}")
-        statuses = set()
-        for _ in range(cases):
-            x, y = oracles.random_halve_input(rng)
-            if estimator == "zlib":
-                est, ref = CompressionEstimator(), oracles.FourCompressionEstimator()
-            else:
-                est, ref = get_estimator(estimator, x, y), get_estimator(estimator, x, y)
-            grid, ref_grid = build_grid(x, y, est), oracles.build_tuple_grid(x, y, ref)
-            assert _nodes(grid) == _nodes(ref_grid)
-            assert measured_lipschitz(grid) == oracles.lipschitz_pairwise(ref_grid)
-            got = _outcome(halve, x, y, est)
-            want = _outcome(oracles.halve_tuples, x, y, ref)
-            if isinstance(got, tuple):
-                assert got == want
-                statuses.add(got[0].__name__)
-            else:
-                assert got.to_json_dict() == want.to_json_dict()
-                statuses.add(got.status)
-        assert "ok" in statuses
+        inputs = [oracles.random_halve_input(rng) for _ in range(cases)]
+        if estimator == "zlib":
+            estimators = _zlib_pair
+        else:
+            def estimators(x, y):
+                return get_estimator(estimator, x, y), get_estimator(estimator, x, y)
+        assert "ok" in _halve_statuses(inputs, estimators)
 
     @pytest.mark.parametrize("kind", ["float", "int", "degenerate", "fold"])
     def test_grid_queries_match_tuple_grid(self, kind):
@@ -244,9 +265,9 @@ class TestHalvingWalk:
         for _ in range(60):
             w, h, values = oracles.random_grid_values(rng, kind)
             grid, ref = GridMap(w, h, values), oracles.TupleGrid(w, h, values)
-            assert _nodes(grid) == _nodes(ref)
+            assert oracles.grid_nodes(grid) == oracles.grid_nodes(ref)
             assert measured_lipschitz(grid) == oracles.lipschitz_pairwise(ref)
-            nodes = _nodes(ref)
+            nodes = oracles.grid_nodes(ref)
             targets = [
                 (rng.uniform(-5, 20), rng.uniform(-5, 20)),  # anywhere, often exterior
                 (rng.uniform(-50, -10), rng.uniform(30, 50)),  # exterior
@@ -260,6 +281,12 @@ class TestHalvingWalk:
                 assert _outcome(winding_number, grid, target) == _outcome(winding_number, ref, target)
                 seen.add(want[0] if isinstance(want[0], type) else "ok")
         assert len(seen) >= 2
+
+    def test_zlib_paths_match_tuple_grid(self, grid_path):
+        path, prefetch_threads = grid_path
+        assert {"ok", "not_covered"} <= _halve_statuses(_zlib_path_cases(), _zlib_pair)
+        assert bool(prefetch_threads) == (path == "helped")
+        assert threading.get_ident() not in prefetch_threads
 
     def test_degeneracy_after_nudge_matches(self, monkeypatch):
         # no fixture found reaches this path honestly: both scans are forced to miss

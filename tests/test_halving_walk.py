@@ -1,5 +1,9 @@
+import faulthandler
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 import zlib
 
@@ -16,6 +20,7 @@ from skalab.errors import (
 )
 from skalab.halving_walk import (
     HALVE_MAX_WORK,
+    HALVE_MAX_ZLIB_BYTES,
     CompressionEstimator,
     ComplexityEstimator,
     GridMap,
@@ -428,11 +433,29 @@ class TestSharedCondition:
         monkeypatch.setattr(halving_walk, "zlib", CountingZlib())
         return calls
 
-    def test_three_compressions_per_node(self, compressions):
-        rng = random.Random(11)
-        x, y = rng.randbytes(9), rng.randbytes(6)
-        halve(x, y, CompressionEstimator())
-        assert len(compressions) == 3 * (len(x) + 1) * (len(y) + 1) + 3
+    def test_three_compressions_per_node(self, compressions, monkeypatch):
+        # on the serial and the helped path; widths odd, even and 1
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            for nx, ny in ((9, 6), (8, 5), (2, 5), (1, 3)):
+                rng = random.Random(11)
+                x, y = rng.randbytes(nx), rng.randbytes(ny)
+                compressions.clear()
+                halve(x, y, CompressionEstimator())
+                assert len(compressions) == 3 * (len(x) + 1) * (len(y) + 1) + 3
+                assert sum(map(len, compressions)) == CompressionEstimator.halve_bytes(nx, ny)
+
+    def test_repeated_inputs_in_a_prefetched_column(self, compressions):
+        # within a column z_0 || y == z_|y|: the memo holds one entry for both,
+        # and every input of the column is compressed exactly once
+        est, x, y = CompressionEstimator(), b"abc", b"de"
+        conditions = [pair_condition(x[:1], y[:beta]) for beta in range(len(y) + 1)]
+        est.memo = est.prefetch((x, y), conditions)
+        assert len(compressions) == 9 and len(est.memo) == 8
+        for z in conditions:
+            for target in (x, y):
+                assert est.est(target, z) == oracles.FourCompressionEstimator().est(target, z)
+        assert len(compressions) == 9
 
     def test_mutated_condition_is_not_stale(self, compressions):
         est, fresh = CompressionEstimator(), oracles.FourCompressionEstimator()
@@ -466,3 +489,172 @@ class TestHalveBudget:
         with pytest.raises(TooLarge if refused else EstimatorFailure):
             build_grid(bytes(n), bytes(n), Recording())
         assert len(calls) == (0 if refused else 1)
+
+
+class FailingAt(CompressionEstimator):
+    """The zlib estimator, except that `est` raises at one node's condition."""
+
+    def __init__(self, x, y, node):
+        super().__init__()
+        self.bad = pair_condition(x[:node[0]], y[:node[1]])
+
+    def est(self, target, condition):
+        if condition == self.bad:
+            raise RuntimeError("boom")
+        return super().est(target, condition)
+
+
+@pytest.fixture
+def deadline():
+    """Dump every thread's stack and exit if the test hangs."""
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+class TestHelpedPathLifecycle:
+    X, Y = bytes(range(7)), b"word text"
+
+    @pytest.mark.parametrize("node", [(0, 3), (2, 9), (1, 0), (5, 4), (7, 9)])
+    def test_estimator_failure_matches_serial(self, monkeypatch, deadline, node):
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            before = threading.active_count()
+            with pytest.raises(EstimatorFailure) as info:
+                build_grid(self.X, self.Y, FailingAt(self.X, self.Y, node))
+            assert threading.active_count() == before
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"estimator failed at node {node}: boom"
+
+    @pytest.mark.parametrize("fail_on_call", [1, 2, 4])
+    def test_prefetch_failure_falls_back_to_compressing(self, monkeypatch, deadline,
+                                                        fail_on_call):
+        calls = []
+
+        class BrokenPrefetch(CompressionEstimator):
+            def prefetch(self, targets, conditions):
+                calls.append(len(conditions))
+                if len(calls) == fail_on_call:
+                    raise RuntimeError("prefetch down")
+                return super().prefetch(targets, conditions)
+
+        unhandled = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.active_count()
+        grid = build_grid(self.X, self.Y, BrokenPrefetch())
+        assert threading.active_count() == before
+        assert len(calls) == fail_on_call  # the helper stopped at the failure
+        assert unhandled == []  # and printed no traceback
+        ref = oracles.build_tuple_grid(self.X, self.Y, oracles.FourCompressionEstimator())
+        assert oracles.grid_nodes(grid) == oracles.grid_nodes(ref)
+
+    def test_est_runs_on_the_calling_thread_only(self, grid_path):
+        idents = set()
+
+        class Recording(CompressionEstimator):
+            def est(self, target, condition):
+                idents.add(threading.get_ident())
+                return super().est(target, condition)
+
+        est = Recording()
+        halve(self.X, self.Y, est)
+        assert idents == {threading.get_ident()}
+        assert est.memo == {}
+        assert bool(grid_path[1]) == (grid_path[0] == "helped")
+
+    def test_switch_heavy_concurrent_builds_match_oracle(self, monkeypatch, deadline):
+        # three callers, each with its own helper, on a tiny switch interval
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rng = random.Random(23)
+        cases = [(rng.randbytes(nx), oracles.word_text(rng, 6)) for nx in (5, 6, 9)]
+        ref = oracles.FourCompressionEstimator()
+        want = [oracles.grid_nodes(oracles.build_tuple_grid(x, y, ref)) for x, y in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = oracles.grid_nodes(build_grid(*cases[i], CompressionEstimator()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want
+
+
+class TestMemoSafety:
+    def test_level_change_after_prefetch_reads_fresh_lengths(self):
+        rng = random.Random(3)
+        target = oracles.word_text(rng, 120)
+        z = pair_condition(oracles.word_text(rng, 200), b"")
+        est = CompressionEstimator()
+        est.memo = est.prefetch((target,), [z])
+        est.level = 1
+        fresh = oracles.FourCompressionEstimator(level=1).est(target, z)
+        assert est.est(target, z) == fresh != oracles.FourCompressionEstimator().est(target, z)
+
+    def test_memo_is_used_only_at_its_level(self):
+        z, target = pair_condition(b"ab", b"c"), b"tail"
+        est = CompressionEstimator()
+        est.memo = {z: (9, 1000), z + target: (9, 1003)}
+        assert est.est(target, z) == 3.0
+        est.level = 1
+        assert est.est(target, z) == oracles.FourCompressionEstimator(level=1).est(target, z)
+
+    def test_bytearray_condition_is_never_hashed(self):
+        looked_up = []
+
+        class RecordingMemo(dict):
+            def get(self, key, default=None):
+                looked_up.append(type(key))
+                return super().get(key, default)
+
+        est, target = CompressionEstimator(), b"tail"
+        cond = bytearray(pair_condition(b"ab", b"c"))
+        est.memo = RecordingMemo(est.prefetch((target,), [bytes(cond)]))
+        assert est.est(target, cond) == oracles.FourCompressionEstimator().est(target, bytes(cond))
+        assert looked_up == [bytes]  # C(z) only: the bytearray z || target is compressed
+        cond[4:] = b"xyz"
+        assert est.est(target, cond) == oracles.FourCompressionEstimator().est(target, bytes(cond))
+
+
+class TestZlibByteBudget:
+    def test_every_test_and_benchmark_size_fits(self):
+        assert CompressionEstimator.halve_bytes(256, 256) == 85_335_820 <= HALVE_MAX_ZLIB_BYTES
+
+    @pytest.mark.parametrize("nx, ny, refused", [
+        (269, 269, False), (270, 270, True), (1, 4468, False), (1, 4469, True), (998, 998, True),
+    ])
+    def test_refused_before_the_first_estimate(self, monkeypatch, nx, ny, refused):
+        calls, helpers = [], []
+
+        def no_work(self, *args):
+            calls.append(args)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(CompressionEstimator, "est", no_work)
+        monkeypatch.setattr(CompressionEstimator, "prefetch", no_work)
+        monkeypatch.setattr(halving_walk, "_OddColumnPrefetch",
+                            lambda *args: helpers.append(args) or _NoHelper())
+        assert (CompressionEstimator.halve_bytes(nx, ny) > HALVE_MAX_ZLIB_BYTES) == refused
+        with pytest.raises(TooLarge if refused else EstimatorFailure) as info:
+            build_grid(bytes(nx), bytes(ny), CompressionEstimator())
+        assert len(calls) == len(helpers) == (0 if refused else 1)
+        assert ("zlib budget" in str(info.value)) == refused
+
+
+class _NoHelper:
+    def install(self, alpha):
+        pass
+
+    def close(self):
+        pass
