@@ -14,6 +14,7 @@ Bulk code works on element indices instead: a0*p + a1 in GF(p^2) and a0 in
 GF(p), which is the order of `FieldSpec.elements()`.  `FieldSpec.tables()`
 holds the add/mul/neg/inv tables over those indices; they are derived from
 `Elt` arithmetic on first use, so `Elt` stays the one definition of the field.
+Tables of more than `TABLE_MAX_ENTRIES` (q^2) entries are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DivisionByZero, NotPrime, SpecMismatch, UnsupportedField
+from .errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge, UnsupportedField
+
+# Most entries one add or mul table may hold: q^2.  GF(961) has 923,521
+# (`ska run --q 961`: about 2 s and 70 MB on a 2-vCPU host); GF(1009) is refused.
+TABLE_MAX_ENTRIES = 1_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -109,6 +114,12 @@ class FieldSpec:
     def tables(self) -> FieldTables:
         """Index-level add/mul/neg/inv tables, built from `Elt` on first use."""
         if self._tables is None:
+            q = self.size
+            if q * q > TABLE_MAX_ENTRIES:
+                raise TooLarge(
+                    f"GF({q}) tables need {q * q:,} entries each; "
+                    f"the table budget is {TABLE_MAX_ENTRIES:,}"
+                )
             elts = list(self.elements())
             index = self.index
             add = [[index(a + b) for b in elts] for a in elts]

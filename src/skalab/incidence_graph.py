@@ -90,11 +90,6 @@ class BiGraph:
     def right_degree(self, r: int) -> int:
         return self._right_bits[r].bit_count()
 
-    def is_biregular(self) -> bool:
-        left_degs = {self.left_degree(l) for l in self.left_ids}
-        right_degs = {self.right_degree(r) for r in self.right_ids}
-        return len(left_degs) == 1 and len(right_degs) == 1
-
     def right_mask(self, right_subset) -> int:
         mask = 0
         for r in right_subset:
@@ -273,7 +268,7 @@ def sdz_report(g: BiGraph, query: SubgraphQuery) -> BoundReport:
         regime_small=regime_small,
         field_prime=field_prime,
         kst_bound=kst,
-        density_exponent=math.log(edges) / math.log(product) if edges > 0 else 0.0,
+        density_exponent=math.log(edges) / math.log(product) if edges > 1 else 0.0,
         n=n,
         q=g.q,
     )

@@ -13,8 +13,10 @@ between ids and canonical triples; `class_ids` gives the ids of any nonzero
 triples of element indices.  `line_points` lists the point ids of one line
 from the field tables.  `Plane` enumerates all flags with it, and
 `flag_ids_at` decodes a single flag index with it, so `sample_flag` needs no
-enumeration.  `ProjPoint`/`ProjLine` objects are built only when a caller
-asks for them.
+enumeration.  Objects are built only when a caller asks for them, by
+`flag_from_ids`, which skips the canonicalization and incidence checks of
+the public constructors.  `enumerate_plane` refuses, before any field table
+is built, a plane of more than `PLANE_MAX_FLAGS` flags.
 
 The affine chart maps a flag (line x, point y) with x0 != 0 and y2 != 0 to
 six subfield residues (f, r, g, t, h, s) via
@@ -22,8 +24,10 @@ six subfield residues (f, r, g, t, h, s) via
     x1/x0 = f + r*xi,   y0/y2 = g + t*xi,   y1/y2 = h + s*xi,
 
 and incidence pins the remaining ratio: -x2/x0 = (g + f*h) +
-(t + f*s + h*r)*xi + r*s*xi^2.  Flags with x0 = 0 or y2 = 0 raise
-ChartInvalid; they are excluded rather than re-coordinatized.
+(t + f*s + h*r)*xi + r*s*xi^2 = u' + v'*xi (`chart_u_prime`, `chart_v_prime`).
+`to_chart` reads each ratio off the field tables as divmod(index, p).  Flags
+with x0 = 0 or y2 = 0 raise ChartInvalid; they are excluded rather than
+re-coordinatized.
 """
 
 from __future__ import annotations
@@ -34,10 +38,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 
-from .errors import ChartInvalid, SpecMismatch, UnsupportedField, ZeroVector
-from .finite_field import Elt, FieldSpec, field_for_size, format_elt, parse_elt
+from .errors import ChartInvalid, SpecMismatch, TooLarge, UnsupportedField, ZeroVector
+from .finite_field import Elt, FieldSpec, field_for_size, format_elt
 
 Triple = tuple[Elt, Elt, Elt]
+
+# Most flags `enumerate_plane` accepts.  PG(2,169), with 4,884,270, fits
+# (`plane --q 169`: about 2 s and 500 MB on a 2-vCPU host); PG(2,173), with
+# 5,237,922, is refused.
+PLANE_MAX_FLAGS = 5_000_000
 
 
 def canonicalize(raw: Triple) -> Triple:
@@ -60,10 +69,6 @@ class _ProjTriple:
     @property
     def spec(self) -> FieldSpec:
         return self.coords[0].spec
-
-    def residue_key(self) -> tuple[int, ...]:
-        c0, c1, c2 = self.coords
-        return (c0.a0, c0.a1, c1.a0, c1.a1, c2.a0, c2.a1)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.coords == other.coords
@@ -166,7 +171,7 @@ def vertex_id(coords: Triple) -> int:
 def vertex_indices(spec: FieldSpec, vid: int) -> tuple[int, int, int]:
     """Canonical triple of a vertex id, as element indices."""
     q = spec.size
-    one = spec.index(spec.one())
+    one = q // spec.p  # the index of 1: p in GF(p^2), 1 in GF(p)
     if vid == 0:
         return (0, 0, one)
     if vid <= q:
@@ -230,8 +235,15 @@ def flag_ids_at(spec: FieldSpec, index: int) -> tuple[int, int]:
 
 
 def flag_from_ids(spec: FieldSpec, lid: int, pid: int) -> Flag:
-    """The flag object of a (line id, point id) pair."""
-    return Flag(ProjLine(vertex_triple(spec, lid)), ProjPoint(vertex_triple(spec, pid)))
+    """The flag of an incident (line id, point id) pair, built unchecked:
+    `vertex_triple` is canonical and the ids come from the plane."""
+    line = object.__new__(ProjLine)
+    line.coords = vertex_triple(spec, lid)
+    point = object.__new__(ProjPoint)
+    point.coords = vertex_triple(spec, pid)
+    flag = object.__new__(Flag)
+    flag.line, flag.point = line, point
+    return flag
 
 
 class Plane:
@@ -287,7 +299,11 @@ class Plane:
 
 @lru_cache(maxsize=16)
 def enumerate_plane(q: int) -> Plane:
-    """Enumerate PG(2,q) for q = p or q = p^2 with p prime."""
+    """Enumerate PG(2,q), q = p or p^2 with p prime, within `PLANE_MAX_FLAGS`."""
+    if flag_count(q) > PLANE_MAX_FLAGS:
+        raise TooLarge(
+            f"PG(2,{q}) has {flag_count(q):,} flags; the plane budget is {PLANE_MAX_FLAGS:,}"
+        )
     return Plane(field_for_size(q))
 
 
@@ -296,34 +312,38 @@ def to_chart(flag: Flag) -> ChartCoords:
     spec = flag.line.spec
     if spec.degree != 2:
         raise UnsupportedField("the chart needs a quadratic extension field")
+    index = spec.index
     x0, x1, _ = flag.line.coords
     y0, y1, y2 = flag.point.coords
-    if x0.is_zero() or y2.is_zero():
+    x0, x1, y0, y1, y2 = index(x0), index(x1), index(y0), index(y1), index(y2)
+    if not x0 or not y2:
         raise ChartInvalid("flag has x0 = 0 or y2 = 0")
-    f, r = (x1 * x0.inv()).decompose()
-    y2inv = y2.inv()
-    g, t = (y0 * y2inv).decompose()
-    h, s = (y1 * y2inv).decompose()
+    _, mul, _, inv = spec.tables()
+    p, y2inv = spec.p, inv[y2]
+    f, r = divmod(mul[x1][inv[x0]], p)
+    g, t = divmod(mul[y0][y2inv], p)
+    h, s = divmod(mul[y1][y2inv], p)
     return ChartCoords(spec, f, r, g, t, h, s)
 
 
-def chart_x2(coords: ChartCoords) -> Elt:
-    """-x2/x0 of the reconstructed flag: (g+fh) + (t+fs+hr)*xi + rs*xi^2."""
-    spec = coords.spec
-    f, r, g, t, h, s = coords.as_tuple()
-    base = spec.elt((g + f * h) % spec.p, (t + f * s + h * r) % spec.p)
-    xi = spec.xi()
-    return base + spec.elt(r * s % spec.p) * (xi * xi)
+def chart_u_prime(p: int, u: int, f: int, r: int, g: int, h: int, s: int) -> int:
+    """u' of -x2/x0 = u' + v'*xi for a chart tuple: g + f*h + r*s*u (mod p)."""
+    return (g + f * h + r * s * u) % p
+
+
+def chart_v_prime(p: int, v: int, f: int, r: int, t: int, h: int, s: int) -> int:
+    """v' of -x2/x0 = u' + v'*xi for a chart tuple: t + f*s + h*r + r*s*v (mod p)."""
+    return (t + f * s + h * r + r * s * v) % p
 
 
 def from_chart(coords: ChartCoords) -> Flag:
     """Rebuild the canonical flag determined by six subfield parameters."""
     spec = coords.spec
+    p, u, v = spec.p, spec.u, spec.v
     f, r, g, t, h, s = coords.as_tuple()
     one = spec.one()
-    x1p = spec.elt(f, r)
-    x2p = chart_x2(coords)
-    line = ProjLine((one, x1p, -x2p))
+    minus_x2 = spec.elt(chart_u_prime(p, u, f, r, g, h, s), chart_v_prime(p, v, f, r, t, h, s))
+    line = ProjLine((one, spec.elt(f, r), -minus_x2))
     point = ProjPoint((spec.elt(g, t), spec.elt(h, s), one))
     return Flag(line, point)
 
@@ -344,9 +364,3 @@ def flag_to_json(flag: Flag) -> dict:
         "line": [format_elt(c) for c in flag.line.coords],
         "point": [format_elt(c) for c in flag.point.coords],
     }
-
-
-def flag_from_json(spec: FieldSpec, data: dict) -> Flag:
-    line = ProjLine(tuple(parse_elt(spec, s) for s in data["line"]))
-    point = ProjPoint(tuple(parse_elt(spec, s) for s in data["point"]))
-    return Flag(line, point)

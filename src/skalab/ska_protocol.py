@@ -6,9 +6,10 @@ Alice answers m2 = g + f*h (recovered from her own parameters as u' - u''
 where x2' = u' + v'*xi and r*m1*xi^2 = u'' + v''*xi), and the shared key is
 f: Alice reads it off her input, Bob computes (m2 - g) * h^-1.
 
-Rounds 2 and 3 are small functions on subfield residues: `alice_m2`
-(xi^2 = u + v*xi and r*m1 lies in the prime subfield, so u'' = r*m1*u) and
-`bob_recover`, with `alice_u_prime` giving u' from a chart tuple.  The state
+`run_session` reads the flag's chart once (`to_chart`) and builds both
+parties from it.  Rounds 2 and 3 are small functions on subfield residues:
+`alice_m2` (xi^2 = u + v*xi and r*m1 lies in the prime subfield, so
+u'' = r*m1*u) and `bob_recover`, with `chart_u_prime` giving u'.  The state
 machines (`AliceState`, `BobState`, `bob_round1`, `alice_round2`, `bob_key`)
 and the audit both call them.
 
@@ -37,7 +38,9 @@ from .errors import (
     UnsupportedField,
 )
 from .finite_field import FieldSpec, field_for_size
-from .projective_plane import ChartCoords, Flag, flag_to_json
+from .projective_plane import (
+    ChartCoords, Flag, chart_u_prime, chart_v_prime, flag_to_json, to_chart,
+)
 
 AUDIT_MAX_P = 13
 
@@ -79,11 +82,6 @@ def decode_message(data: bytes, p: int) -> Message:
     return Message(data[0], payload)
 
 
-def alice_u_prime(p: int, u: int, f: int, r: int, g: int, h: int, s: int) -> int:
-    """u' of -x2/x0 = u' + v'*xi for a chart tuple: g + f*h + r*s*u (mod p)."""
-    return (g + f * h + r * s * u) % p
-
-
 def alice_m2(p: int, u: int, u_p: int, r: int, m1: int) -> int:
     """Round 2 payload: m2 = u' - u'' where r*m1*xi^2 = u'' + v''*xi.
 
@@ -115,19 +113,9 @@ class AliceState:
         spec = chart.spec
         p = spec.p
         f, r, g, t, h, s = chart.as_tuple()
-        u_p = alice_u_prime(p, spec.u, f, r, g, h, s)
-        v_p = (t + f * s + h * r + r * s * spec.v) % p
+        u_p = chart_u_prime(p, spec.u, f, r, g, h, s)
+        v_p = chart_v_prime(p, spec.v, f, r, t, h, s)
         return cls(spec, f, r, u_p, v_p)
-
-    @classmethod
-    def from_line(cls, line) -> "AliceState":
-        x0, x1, x2 = line.coords
-        if x0.is_zero():
-            raise ChartInvalid("line has x0 = 0")
-        inv0 = x0.inv()
-        f, r = (x1 * inv0).decompose()
-        u_p, v_p = (-(x2 * inv0)).decompose()
-        return cls(line.spec, f, r, u_p, v_p)
 
 
 class BobState:
@@ -146,16 +134,6 @@ class BobState:
     @classmethod
     def from_chart(cls, chart: ChartCoords) -> "BobState":
         return cls(chart.spec, chart.g, chart.t, chart.h, chart.s)
-
-    @classmethod
-    def from_point(cls, point) -> "BobState":
-        y0, y1, y2 = point.coords
-        if y2.is_zero():
-            raise ChartInvalid("point has y2 = 0")
-        inv2 = y2.inv()
-        g, t = (y0 * inv2).decompose()
-        h, s = (y1 * inv2).decompose()
-        return cls(point.spec, g, t, h, s)
 
 
 def bob_round1(bob: BobState) -> Message:
@@ -224,15 +202,13 @@ class SessionResult:
 
 def run_session(flag: Flag) -> SessionResult:
     """Drive chart extraction, both rounds, and key derivation for one flag."""
-    spec = flag.line.spec
-    if spec.degree != 2:
-        raise UnsupportedField("the protocol needs q = p^2")
-    q = spec.size
+    q = flag.line.spec.size
     try:
-        alice = AliceState.from_line(flag.line)
-        bob = BobState.from_point(flag.point)
+        chart = to_chart(flag)
     except ChartInvalid:
         return SessionResult(q=q, flag=flag, status="chart_invalid")
+    alice = AliceState.from_chart(chart)
+    bob = BobState.from_chart(chart)
     m1 = bob_round1(bob)
     m2 = alice_round2(alice, m1)
     transcript = (m1.payload, m2.payload)
@@ -307,7 +283,7 @@ def secrecy_audit(q: int) -> SecrecyAudit:
                         h_inv = pow(h, p - 2, p)
                         for s in range(p):
                             m1 = s  # Bob's round 1
-                            m2 = alice_m2(p, u, alice_u_prime(p, u, f, r, g, h, s), r, m1)
+                            m2 = alice_m2(p, u, chart_u_prime(p, u, f, r, g, h, s), r, m1)
                             key = bob_recover(p, g, h_inv, m2)
                             if key != f:
                                 raise InvariantViolation(

@@ -105,11 +105,6 @@ class Automorphism:
         # inverse = adj/det with adj = transpose(cofactor); so inv^T = cofactor/det
         self.inverse_transpose = _scale(_cofactor(matrix), det_inv)
 
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "Automorphism":
-        one, zero = spec.one(), spec.zero()
-        return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
-
     def inverse(self) -> "Automorphism":
         return Automorphism(_transpose(self.inverse_transpose))
 

@@ -15,8 +15,15 @@ import math
 import random
 import zlib
 
-from skalab.errors import EstimatorFailure, NotCovered, NumericalDegeneracy
-from skalab.finite_field import field_for_size
+from skalab.errors import (
+    ChartInvalid,
+    DegenerateH,
+    EstimatorFailure,
+    NotCovered,
+    NumericalDegeneracy,
+    UnsupportedField,
+)
+from skalab.finite_field import field_for_size, parse_elt
 from skalab.halving_walk import (
     BOUNDARY_EPS,
     ComplexityEstimator,
@@ -31,13 +38,27 @@ from skalab.projective_plane import (
     Flag,
     ProjLine,
     ProjPoint,
-    chart_x2,
     enumerate_plane,
+    vertex_triple,
 )
-from skalab.subplane_cover import baer_flag_ids
+from skalab.ska_protocol import (
+    AliceState,
+    BobState,
+    SessionResult,
+    alice_round2,
+    bob_key,
+    bob_round1,
+)
+from skalab.subplane_cover import Automorphism, baer_flag_ids
 
 
 # -- plane enumeration on objects ---------------------------------------------
+
+def residue_key(vertex) -> tuple[int, ...]:
+    """The flattened residues (a0, a1 per coordinate) of a point or line."""
+    c0, c1, c2 = vertex.coords
+    return (c0.a0, c0.a1, c1.a0, c1.a1, c2.a0, c2.a1)
+
 
 def canonical_triples(spec, cls):
     """All canonical triples: (0:0:1), (0:1:c), (1:b:c), sorted by residues."""
@@ -48,8 +69,20 @@ def canonical_triples(spec, cls):
     for b in spec.elements():
         for c in spec.elements():
             items.append(cls((one, b, c)))
-    items.sort(key=lambda t: t.residue_key())
+    items.sort(key=residue_key)
     return items
+
+
+def flag_from_ids_checked(spec, lid: int, pid: int) -> Flag:
+    """The flag of a (line id, point id) pair through the checking constructors."""
+    return Flag(ProjLine(vertex_triple(spec, lid)), ProjPoint(vertex_triple(spec, pid)))
+
+
+def flag_from_json(spec, data: dict) -> Flag:
+    """Parse `flag_to_json` output; any representative of each class is accepted."""
+    line = ProjLine(tuple(parse_elt(spec, s) for s in data["line"]))
+    point = ProjPoint(tuple(parse_elt(spec, s) for s in data["point"]))
+    return Flag(line, point)
 
 
 def points_on_line(line):
@@ -97,6 +130,11 @@ def baer_subplane_scan(q: int) -> SubgraphQuery:
 
 # -- covering scan on objects ----------------------------------------------------
 
+def identity_automorphism(spec) -> Automorphism:
+    one, zero = spec.one(), spec.zero()
+    return Automorphism(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
+
+
 def _mat_vec(m, v):
     return tuple(m[r][0] * v[0] + m[r][1] * v[1] + m[r][2] * v[2] for r in range(3))
 
@@ -123,6 +161,75 @@ def cover_objects(q: int, maps) -> tuple[list[bool], list[int]]:
 
 
 # -- key agreement on elements ----------------------------------------------------
+
+def to_chart_elt(flag) -> ChartCoords:
+    """Chart parameters by `Elt` inverses and products."""
+    spec = flag.line.spec
+    if spec.degree != 2:
+        raise UnsupportedField("the chart needs a quadratic extension field")
+    x0, x1, _ = flag.line.coords
+    y0, y1, y2 = flag.point.coords
+    if x0.is_zero() or y2.is_zero():
+        raise ChartInvalid("flag has x0 = 0 or y2 = 0")
+    f, r = (x1 * x0.inv()).decompose()
+    y2inv = y2.inv()
+    g, t = (y0 * y2inv).decompose()
+    h, s = (y1 * y2inv).decompose()
+    return ChartCoords(spec, f, r, g, t, h, s)
+
+
+def chart_x2(coords: ChartCoords):
+    """-x2/x0 of the reconstructed flag: (g+fh) + (t+fs+hr)*xi + rs*xi^2."""
+    spec = coords.spec
+    f, r, g, t, h, s = coords.as_tuple()
+    base = spec.elt((g + f * h) % spec.p, (t + f * s + h * r) % spec.p)
+    xi = spec.xi()
+    return base + spec.elt(r * s % spec.p) * (xi * xi)
+
+
+def alice_from_line(line) -> AliceState:
+    """Alice's state from her line: f, r from x1/x0 and u', v' from -x2/x0."""
+    x0, x1, x2 = line.coords
+    if x0.is_zero():
+        raise ChartInvalid("line has x0 = 0")
+    inv0 = x0.inv()
+    f, r = (x1 * inv0).decompose()
+    u_p, v_p = (-(x2 * inv0)).decompose()
+    return AliceState(line.spec, f, r, u_p, v_p)
+
+
+def bob_from_point(point) -> BobState:
+    """Bob's state from his point: g, t from y0/y2 and h, s from y1/y2."""
+    y0, y1, y2 = point.coords
+    if y2.is_zero():
+        raise ChartInvalid("point has y2 = 0")
+    inv2 = y2.inv()
+    g, t = (y0 * inv2).decompose()
+    h, s = (y1 * inv2).decompose()
+    return BobState(point.spec, g, t, h, s)
+
+
+def run_session_objects(flag) -> SessionResult:
+    """A session whose parties read their own line and point in `Elt`."""
+    spec = flag.line.spec
+    if spec.degree != 2:
+        raise UnsupportedField("the protocol needs q = p^2")
+    q = spec.size
+    try:
+        alice = alice_from_line(flag.line)
+        bob = bob_from_point(flag.point)
+    except ChartInvalid:
+        return SessionResult(q=q, flag=flag, status="chart_invalid")
+    m1 = bob_round1(bob)
+    m2 = alice_round2(alice, m1)
+    transcript = (m1.payload, m2.payload)
+    try:
+        k_bob = bob_key(bob, m2)
+    except DegenerateH:
+        return SessionResult(q=q, flag=flag, status="degenerate_h", transcript=transcript)
+    return SessionResult(q=q, flag=flag, status="ok", transcript=transcript,
+                         alice_key=alice.f, bob_key=k_bob)
+
 
 def alice_m2_elt(spec, u_p: int, r: int, m1: int) -> int:
     """Alice's round 2 as u' - u'', with u'' read off r*m1*xi^2 in GF(p^2)."""
@@ -153,6 +260,13 @@ def secrecy_histogram_objects(q: int) -> dict[tuple[int, int], dict[int, int]]:
 
 
 # -- incidence graph ------------------------------------------------------------
+
+def is_biregular(g: BiGraph) -> bool:
+    """True iff all left degrees agree and all right degrees agree."""
+    left_degs = {g.left_degree(l) for l in g.left_ids}
+    right_degs = {g.right_degree(r) for r in g.right_ids}
+    return len(left_degs) == 1 and len(right_degs) == 1
+
 
 def c4_free_pairwise(g: BiGraph) -> bool:
     """True iff no two left vertices share two common right neighbors."""

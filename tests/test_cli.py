@@ -1,11 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from skalab import projective_plane
 from skalab.cli import main
+from skalab.finite_field import TABLE_MAX_ENTRIES, FieldSpec
+from skalab.projective_plane import PLANE_MAX_FLAGS, flag_count
 
 
 def run_cli(*args, env_extra=None):
@@ -98,6 +102,14 @@ class TestAudit:
         )
         assert code == 2
         assert b"candidate pairs" in err
+
+    def test_one_by_one_query_exits_0(self, capsys, monkeypatch):
+        # one edge on a 1 x 1 query: the density exponent was log(1) / log(1)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", "--q", "4", "--a", "1", "--b", "1"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\r\n")
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert (rec["edges"], rec["density_exponent"]) == ("1", "0")
 
     def test_missing_sizes_exits_2(self):
         code, _, _ = run_cli("audit", "--q", "9")
@@ -346,6 +358,86 @@ def test_bad_input_exits_2(argv, config, env, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("skalab: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def no_over_budget_work(monkeypatch):
+    """Fail, instead of allocating, if a table or plane past its budget starts."""
+    elements, plane_init = FieldSpec.elements, projective_plane.Plane.__init__
+
+    def guarded_elements(self):  # the first step of building the field tables
+        if self.size ** 2 > TABLE_MAX_ENTRIES:
+            raise AssertionError(f"tables of GF({self.size}) started")
+        return elements(self)
+
+    def guarded_plane(self, spec):
+        if flag_count(spec.size) > PLANE_MAX_FLAGS:
+            raise AssertionError(f"enumeration of PG(2,{spec.size}) started")
+        plane_init(self, spec)
+
+    monkeypatch.setattr(FieldSpec, "elements", guarded_elements)
+    monkeypatch.setattr(projective_plane.Plane, "__init__", guarded_plane)
+    monkeypatch.delenv("SKALAB_SEED", raising=False)
+
+
+def _run_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of `main`, including argparse's exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "--q", "10007"],
+    ["audit", "--q", "10007", "--a", "2", "--b", "2"],
+    ["ska", "run", "--q", "10201"],
+])
+def test_over_budget_refused_before_tables_or_flags(argv, no_over_budget_work, capsys):
+    code, out, err = _run_in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("skalab: ") and "budget" in err and err.count("\n") == 1
+
+
+Q_KINDS = (("small", ("2", "3", "4", "9")), ("over", ("10007", "10201", "173")),
+           ("invalid", ("0", "-1", "6", "text")))
+
+
+def _draw_argv(rng: random.Random) -> tuple[list[str], str]:
+    """One seeded command line, and the kind of q it was given."""
+    kind, qs = rng.choices(Q_KINDS, weights=(2, 1, 1))[0]
+    command = rng.choice(("plane", "audit", "ska run", "ska audit", "cover"))
+    argv = command.split() + [f"--q={rng.choice(qs)}", f"--seed={rng.randrange(5)}"]
+    if command == "plane":
+        argv += rng.choice(([], ["--flags"], ["--format=csv"]))
+    elif command == "audit":
+        if rng.random() < 0.3:
+            argv.append("--baer")
+        else:
+            argv += [f"--a={rng.choice((0, 1, 3, 14))}", f"--b={rng.choice((1, 3, 14))}",
+                     f"--strategy={rng.choice(('greedy-peel', 'local-swap', 'exhaustive'))}",
+                     "--iters=5"]
+    elif command == "cover":
+        argv.append(f"--c={rng.choice(('0.05', '0.3', '1', 'nan', '1e9'))}")
+    return argv, kind
+
+
+def test_seeded_cli_arguments_exit_cleanly(no_over_budget_work, capsys):
+    rng = random.Random("cli:arguments")
+    codes = set()
+    for _ in range(150):
+        argv, kind = _draw_argv(rng)
+        code, out, err = _run_in_process(argv, capsys)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "" and err.splitlines()[-1].startswith("skalab"), argv
+        if kind != "small":
+            assert code == 2, argv
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_cli_import_does_not_load_thread_pool():

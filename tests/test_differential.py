@@ -1,5 +1,6 @@
 """The integer paths of skalab against the reference paths in `oracles`."""
 
+import itertools
 import math
 import random
 import threading
@@ -22,15 +23,20 @@ from skalab.halving_walk import (
 )
 from skalab.incidence_graph import build_plane_graph, c4_free_check, dense_subgraph_search
 from skalab.projective_plane import (
+    ChartCoords,
+    ProjLine,
     ProjPoint,
     canonicalize,
+    chart_u_prime,
+    chart_v_prime,
     enumerate_plane,
     flag_ids_at,
     sample_flag,
+    to_chart,
     vertex_id,
     vertex_triple,
 )
-from skalab.ska_protocol import alice_m2, secrecy_audit
+from skalab.ska_protocol import alice_m2, run_session, secrecy_audit
 from skalab.subplane_cover import (
     apply,
     baer_subplane,
@@ -122,6 +128,14 @@ class TestFlagDecoder:
             with pytest.raises(IndexError):
                 flag_ids_at(spec, index)
 
+    @pytest.mark.parametrize("q", [q for q in PLANE_QS if q <= 25])
+    def test_unchecked_flags_match_checked_constructors(self, q):
+        plane = enumerate_plane(q)
+        for i, (lid, pid) in enumerate(plane.flag_ids):
+            flag = plane.flag(i)
+            assert flag == oracles.flag_from_ids_checked(plane.spec, lid, pid)
+            assert (type(flag.line), type(flag.point)) == (ProjLine, ProjPoint)
+
 
 class TestCoverScan:
     # (q, c, seed).  Undersampled: c = 0.01 at q = 9 draws 2 maps, whose 2 * 52
@@ -143,6 +157,38 @@ class TestCoverScan:
             for i in range(seed, len(plane.flag_ids), 1 + len(plane.flag_ids) // 60):
                 flag = plane.flag(i)
                 assert apply(m, flag) == oracles.apply_elt(m, flag)
+
+
+class TestChart:
+    @pytest.mark.parametrize("q", (4, 9, 25, 49))
+    def test_to_chart_matches_elt_form(self, q):
+        plane = enumerate_plane(q)
+        invalid = 0
+        for i in range(len(plane.flag_ids)):
+            flag = plane.flag(i)
+            got = _outcome(to_chart, flag)
+            assert got == _outcome(oracles.to_chart_elt, flag)
+            invalid += isinstance(got, tuple)
+        assert invalid == len(plane.flag_ids) - q**3  # q^3 flags lie in the chart
+
+    @pytest.mark.parametrize("q", (9, 25))
+    def test_run_session_matches_object_session(self, q):
+        plane = enumerate_plane(q)
+        statuses = set()
+        for i in range(len(plane.flag_ids)):
+            flag = plane.flag(i)
+            result = run_session(flag)
+            assert result == oracles.run_session_objects(flag)
+            statuses.add(result.status)
+        assert statuses == {"ok", "chart_invalid", "degenerate_h"}
+
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_u_and_v_prime_match_elt_form(self, p):
+        spec = build_field_spec(p, 2)
+        for f, r, g, t, h, s in itertools.product(range(p), repeat=6):
+            want = oracles.chart_x2(ChartCoords(spec, f, r, g, t, h, s)).decompose()
+            got = (chart_u_prime(p, spec.u, f, r, g, h, s), chart_v_prime(p, spec.v, f, r, t, h, s))
+            assert got == want
 
 
 class TestKeyAgreement:

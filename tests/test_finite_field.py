@@ -1,7 +1,9 @@
 import pytest
 
-from skalab.errors import DivisionByZero, NotPrime, SpecMismatch, UnsupportedField
+from skalab.errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge, UnsupportedField
 from skalab.finite_field import (
+    TABLE_MAX_ENTRIES,
+    FieldSpec,
     build_field_spec,
     field_for_size,
     format_elt,
@@ -63,6 +65,20 @@ class TestBuildFieldSpec:
         for bad in (6, 8, 12, 27, 100):
             with pytest.raises(UnsupportedField):
                 field_for_size(bad)
+
+
+class TestTableBudget:
+    def test_edge_sizes(self):
+        assert 961**2 <= TABLE_MAX_ENTRIES < 1009**2
+
+    @pytest.mark.parametrize("p, degree", [(1009, 1), (101, 2)])  # q = 1009, 10201
+    def test_refused_before_building(self, p, degree, monkeypatch):
+        def no_build(self):
+            raise AssertionError("table building started")
+
+        monkeypatch.setattr(FieldSpec, "elements", no_build)
+        with pytest.raises(TooLarge, match="table budget"):
+            build_field_spec(p, degree).tables()
 
 
 class TestArith:

@@ -3,16 +3,19 @@ import random
 
 import pytest
 
-from skalab.errors import ChartInvalid, UnsupportedField, ZeroVector
-from skalab.finite_field import build_field_spec
+import oracles
+from skalab import projective_plane
+from skalab.errors import ChartInvalid, TooLarge, UnsupportedField, ZeroVector
+from skalab.finite_field import FieldSpec, build_field_spec
 from skalab.projective_plane import (
+    PLANE_MAX_FLAGS,
     ChartCoords,
     Flag,
     ProjLine,
     ProjPoint,
     canonicalize,
     enumerate_plane,
-    flag_from_json,
+    flag_count,
     flag_to_json,
     from_chart,
     incident,
@@ -95,9 +98,23 @@ class TestEnumerate:
         with pytest.raises(UnsupportedField):
             enumerate_plane(6)
 
+    def test_budget_edge_sizes(self):
+        assert flag_count(169) == 4_884_270 <= PLANE_MAX_FLAGS
+        assert flag_count(173) == 5_237_922 > PLANE_MAX_FLAGS
+
+    @pytest.mark.parametrize("q", (173, 10007, 10201))
+    def test_over_budget_refused_before_any_table(self, q, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("field or plane work started")
+
+        monkeypatch.setattr(projective_plane, "field_for_size", no_work)
+        monkeypatch.setattr(FieldSpec, "tables", no_work)
+        with pytest.raises(TooLarge, match="plane budget"):
+            enumerate_plane(q)
+
     def test_sorted_canonical_order(self):
         plane = enumerate_plane(3)
-        keys = [p.residue_key() for p in plane.points]
+        keys = [oracles.residue_key(p) for p in plane.points]
         assert keys == sorted(keys)
         assert plane.flag_ids == sorted(plane.flag_ids)
 
@@ -163,8 +180,8 @@ class TestChart:
 
     def test_from_chart_zero_tuple(self):
         got = from_chart(ChartCoords(F9, 0, 0, 0, 0, 0, 0))
-        assert got.line.residue_key() == (1, 0, 0, 0, 0, 0)
-        assert got.point.residue_key() == (0, 0, 0, 0, 1, 0)
+        assert oracles.residue_key(got.line) == (1, 0, 0, 0, 0, 0)
+        assert oracles.residue_key(got.point) == (0, 0, 0, 0, 1, 0)
 
     def test_from_chart_injective_image_is_chart_valid_p3(self):
         images = set()
@@ -206,9 +223,9 @@ class TestSerialization:
     def test_flag_json_round_trip(self):
         flag = worked_flag()
         data = flag_to_json(flag)
-        assert flag_from_json(F9, data) == flag
+        assert oracles.flag_from_json(F9, data) == flag
 
     def test_flag_json_accepts_any_representative(self):
         # the reader canonicalizes, so scaled coordinates name the same flag
         data = {"line": ["1", "1+2x", "0"], "point": ["x", "2+x", "1"]}
-        assert flag_from_json(F9, data) == worked_flag()
+        assert oracles.flag_from_json(F9, data) == worked_flag()

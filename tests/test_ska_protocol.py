@@ -1,6 +1,8 @@
 import pytest
 
+import oracles
 from skalab.errors import (
+    ChartInvalid,
     DegenerateH,
     NotCompleted,
     PhaseError,
@@ -177,15 +179,20 @@ class TestReconstructionIdentity:
 
     def test_alice_from_line_matches_from_chart(self):
         plane = enumerate_plane(9)
-        for i in range(0, len(plane.flag_ids), 11):
+        valid = 0
+        for i in range(len(plane.flag_ids)):
             flag = plane.flag(i)
             try:
                 chart = to_chart(flag)
-            except Exception:
+            except ChartInvalid:
                 continue
-            a1 = AliceState.from_line(flag.line)
+            valid += 1
+            a1 = oracles.alice_from_line(flag.line)
             a2 = AliceState.from_chart(chart)
             assert (a1.f, a1.r, a1.u_p, a1.v_p) == (a2.f, a2.r, a2.u_p, a2.v_p)
+            b1, b2 = oracles.bob_from_point(flag.point), BobState.from_chart(chart)
+            assert (b1.g, b1.t, b1.h, b1.s) == (b2.g, b2.t, b2.h, b2.s)
+        assert valid == 9**3
 
 
 class TestSecrecyAudit:
