@@ -81,9 +81,5 @@ class NotCovered(SkalabError):
     """Boundary image does not wind around the target; no preimage search."""
 
 
-class NumericalDegeneracy(SkalabError):
-    """Preimage search hit only degenerate triangle images."""
-
-
 class InvariantViolation(SkalabError):
     """A hard internal consistency check failed (audits map this to exit 3)."""

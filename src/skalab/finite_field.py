@@ -31,19 +31,26 @@ from .errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge, Unsupporte
 TABLE_MAX_ENTRIES = 1_000_000
 
 
+# Miller-Rabin to these bases is exact below PRIME_TEST_MAX (Sorenson and
+# Webster 2017); larger n are refused.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_MAX = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (fields here are small by design)."""
+    """Deterministic Miller-Rabin primality; TooLarge at n >= PRIME_TEST_MAX."""
+    if n >= PRIME_TEST_MAX:
+        raise TooLarge(f"{n} is past the primality test's budget of {PRIME_TEST_MAX:.2e}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -170,8 +177,9 @@ def build_field_spec(p: int, degree: int) -> FieldSpec:
 
 
 def _is_irreducible(p: int, u: int, v: int) -> bool:
-    """True iff X^2 - v*X - u has no root in GF(p)."""
-    return all((x * x - v * x - u) % p != 0 for x in range(p))
+    """True iff X^2 - v*X - u has no root in GF(p): for odd p, iff its
+    discriminant v^2 + 4u is a non-square (Euler's criterion)."""
+    return u == v == 1 if p == 2 else pow(v * v + 4 * u, (p - 1) // 2, p) == p - 1
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,16 @@ the grid assigns to each integer node (alpha, beta) the value pair
 with the condition encoded as a length-prefixed pair so prefix splits are
 unambiguous.  Each unit cell is split along the (i,j)->(i+1,j+1) diagonal and
 the map is extended barycentrically, making the boundary image a polyline
-whose winding number around a target is computable by summing signed angle
-increments (domain boundary traversed counterclockwise).  Nonzero winding
-guarantees a containing triangle; the returned node is the vertex of that
-triangle whose image lies nearest the target.
+whose winding number around a target is counted by the crossing rule
+(Hormann and Agathos 2001; domain boundary traversed counterclockwise).
+Nonzero winding guarantees a triangle whose image contains the target; the
+returned node is the vertex of that triangle whose image lies nearest it.
+
+The predicates are exact: finite floats are dyadic rationals, so the values
+a predicate reads and the target are scaled by one power of two to integers,
+and each test is the sign of an integer cross product (Shewchuk 1997).  The
+target is on the boundary only when it lies on a boundary segment, and in a
+non-degenerate triangle image when it lies inside it or on its edges.
 
 True conditional complexity is uncomputable, so estimators are injected.
 The shipped default backs the estimate with a general-purpose compressor;
@@ -40,18 +46,17 @@ import threading
 import zlib
 from array import array
 from dataclasses import dataclass
-from operator import sub
+from itertools import repeat
+from operator import itemgetter, mul, sub
 
 from .errors import (
     EstimatorFailure,
     NotCovered,
-    NumericalDegeneracy,
     OutOfDomain,
     TargetOnBoundary,
     TooLarge,
 )
 
-BOUNDARY_EPS = 1e-9
 HALVE_MAX_WORK = 2_000_000
 HALVE_MAX_ZLIB_BYTES = 100_000_000
 
@@ -373,18 +378,14 @@ def measured_lipschitz(grid: GridMap) -> float:
     return worst
 
 
-def _cell_of(grid: GridMap, a: float, b: float) -> tuple[int, int, float, float]:
-    i = min(int(math.floor(a)), grid.width - 1)
-    j = min(int(math.floor(b)), grid.height - 1)
-    return i, j, a - i, b - j
-
-
 def pl_extend(grid: GridMap, point: Pair) -> Pair:
     """Barycentric value at a real point; exact at integer nodes."""
     a, b = point
     if not (0.0 <= a <= grid.width and 0.0 <= b <= grid.height):
         raise OutOfDomain(f"({a}, {b}) outside [0,{grid.width}] x [0,{grid.height}]")
-    i, j, da, db = _cell_of(grid, a, b)
+    i = min(int(math.floor(a)), grid.width - 1)
+    j = min(int(math.floor(b)), grid.height - 1)
+    da, db = a - i, b - j
     if da >= db:  # lower triangle (i,j), (i+1,j), (i+1,j+1)
         la, lb, lc = 1.0 - da, da - db, db
         va, vb, vc = grid.at(i, j), grid.at(i + 1, j), grid.at(i + 1, j + 1)
@@ -397,116 +398,109 @@ def pl_extend(grid: GridMap, point: Pair) -> Pair:
     )
 
 
-def boundary_nodes(grid: GridMap) -> list[tuple[int, int]]:
-    """Boundary lattice nodes in counterclockwise order (closed cycle)."""
-    w, h = grid.width, grid.height
-    nodes = [(i, 0) for i in range(w)]
-    nodes += [(w, j) for j in range(h)]
-    nodes += [(i, h) for i in range(w, 0, -1)]
-    nodes += [(0, j) for j in range(h, 0, -1)]
-    return nodes
-
-
 def boundary_polyline(grid: GridMap) -> list[Pair]:
-    """Image of the domain boundary (closed polyline, PL-exact)."""
-    return [grid.at(i, j) for i, j in boundary_nodes(grid)]
+    """Image of the domain boundary's lattice nodes, counterclockwise: a
+    closed polyline, PL-exact."""
+    w, h = grid.width, grid.height
+    nodes = [(i, 0) for i in range(w)] + [(w, j) for j in range(h)]
+    nodes += [(i, h) for i in range(w, 0, -1)] + [(0, j) for j in range(h, 0, -1)]
+    return [grid.at(i, j) for i, j in nodes]
 
 
-def _polyline_scale(poly: list[Pair]) -> float:
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+def _exponent(values, k: int = 0) -> int:
+    """Least k' >= k with value * 2**k' an integer for each of a sequence of finite floats."""
+    try:
+        if all(map(float.is_integer, map(math.ldexp, values, repeat(k)))):
+            return k
+    except OverflowError:  # past the float range, and so an integer already
+        pass
+    return max(k, max(map(itemgetter(1), map(float.as_integer_ratio, values))).bit_length() - 1)
 
 
-def _segment_distance(p: Pair, a: Pair, b: Pair) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+def _scaled(values, k: int) -> list[int]:
+    """value * 2**k for each value, exactly, where k >= _exponent(values)."""
+    try:
+        return list(map(int, map(math.ldexp, values, repeat(k))))
+    except OverflowError:
+        return [n << k >> (d.bit_length() - 1) for n, d in map(float.as_integer_ratio, values)]
+
+
+def _to_origin(xs, ys, target: Pair, k: int | None = None):
+    """The points (xs[i], ys[i]) less the target, both times 2**k as integers;
+    k defaults to the least that makes them integers."""
+    target = [float(t) for t in target]
+    if k is None:
+        k = _exponent(xs + ys + target)
+    (ox, oy), xs, ys = _scaled(target, k), _scaled(xs, k), _scaled(ys, k)
+    return list(map(sub, xs, repeat(ox))), list(map(sub, ys, repeat(oy)))
 
 
 def winding_number(grid: GridMap, target: Pair) -> int:
-    """Signed turns of the boundary image around the target."""
+    """Signed turns of the boundary image around the target, by the crossing
+    rule; raises TargetOnBoundary iff the target lies on a boundary segment."""
     poly = boundary_polyline(grid)
-    scale = _polyline_scale(poly)
-    tol = BOUNDARY_EPS * scale
-    n = len(poly)
-    for k in range(n):
-        if _segment_distance(target, poly[k], poly[(k + 1) % n]) <= tol:
-            raise TargetOnBoundary(f"target {target} lies on the boundary image")
-    tx, ty = target
-    total = 0.0
-    for k in range(n):
-        ax, ay = poly[k][0] - tx, poly[k][1] - ty
-        bx, by = poly[(k + 1) % n][0] - tx, poly[(k + 1) % n][1] - ty
+    xs, ys = _to_origin([p[0] for p in poly], [p[1] for p in poly], target)
+    winding = 0
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
         cross = ax * by - ay * bx
-        dot = ax * bx + ay * by
-        total += math.atan2(cross, dot)
-    return round(total / (2.0 * math.pi))
+        if cross == 0 and ax * bx + ay * by <= 0:
+            raise TargetOnBoundary(f"target {target} lies on the boundary image")
+        if ay <= 0 < by and cross > 0:
+            winding += 1
+        elif by <= 0 < ay and cross < 0:
+            winding -= 1
+    return winding
 
 
 def _scan_for_triangle(grid: GridMap, target: Pair):
-    """First triangle whose image contains the target, or None.
+    """First triangle with a non-degenerate image holding the target, or None.
 
     Scan order: cells by (i, j), in each cell the lower triangle
     (i,j), (i+1,j), (i+1,j+1) before the upper (i,j), (i,j+1), (i+1,j+1).
-    Triangles with a degenerate (zero-area) image are skipped.
+    With the target at the origin, triangle abc contains it iff the edge
+    cross products a x b, b x c and c x a share a weak sign.  They sum to
+    twice the triangle's signed area, which is then nonzero iff one of them
+    is.  Each edge's cross product is computed once, two columns at a time.
     """
-    tx, ty = target
     v1, v2 = grid._v1, grid._v2
-    height = grid.height
-    stride = height + 1
+    stride = grid.height + 1
+    columns = [slice(start, start + stride) for start in range(0, len(v1), stride)]
+    k = _exponent([float(t) for t in target])
+    for part in columns:
+        k = _exponent(v2[part], _exponent(v1[part], k))
+
+    def column(i):
+        xs, ys = _to_origin(v1[columns[i]], v2[columns[i]], target, k)
+        return xs, ys, list(map(sub, map(mul, xs, ys[1:]), map(mul, ys, xs[1:])))
+
+    xl, yl, up_l = column(0)
     for i in range(grid.width):
-        for k in range(i * stride, i * stride + height):
-            a0, a1 = v1[k], v2[k]
-            kc = k + stride + 1
-            m01, m11 = v1[kc] - a0, v2[kc] - a1
-            rx, ry = tx - a0, ty - a1
-            for kb in (k + stride, k + 1):
-                m00, m10 = v1[kb] - a0, v2[kb] - a1
-                det = m00 * m11 - m01 * m10
-                if det == 0.0:
-                    continue
-                lb = (rx * m11 - ry * m01) / det
-                lc = (-rx * m10 + ry * m00) / det
-                if 1.0 - lb - lc >= -1e-12 and lb >= -1e-12 and lc >= -1e-12:
-                    j = k - i * stride
-                    if kb == k + 1:
-                        return ((i, j), (i, j + 1), (i + 1, j + 1))
-                    return ((i, j), (i + 1, j), (i + 1, j + 1))
+        xr, yr, up_r = column(i + 1)
+        across = list(map(sub, map(mul, xl, yr), map(mul, yl, xr)))  # (i,j) -> (i+1,j)
+        back = list(map(sub, map(mul, xr[1:], yl), map(mul, yr[1:], xl)))  # (i+1,j+1) -> (i,j)
+        for j, (a, b, c, d, e) in enumerate(zip(across, up_r, back, up_l, across[1:])):
+            if (a >= 0 and b >= 0 and c >= 0 or a <= 0 and b <= 0 and c <= 0) and (a or b or c):
+                return ((i, j), (i + 1, j), (i + 1, j + 1))
+            if (d >= 0 and e >= 0 and c >= 0 or d <= 0 and e <= 0 and c <= 0) and (d or e or c):
+                return ((i, j), (i, j + 1), (i + 1, j + 1))
+        xl, yl, up_l = xr, yr, up_r
     return None
 
 
 def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
-    """Integer node whose image is nearest the target, found via the
-    triangle that PL-covers it; requires nonzero winding."""
+    """Integer node whose image is nearest the target, by exact squared
+    distance and ties to the least node, among the vertices of the triangle
+    that PL-covers it; requires nonzero winding.  Such a triangle exists: the
+    map's degree is nonzero at regular values near the target, and triangle
+    images are closed."""
     if winding_number(grid, target) == 0:
         raise NotCovered(f"boundary image does not wind around {target}")
-    scale = _polyline_scale(boundary_polyline(grid))
-    tol = BOUNDARY_EPS * scale
-    tri = _scan_for_triangle(grid, target)
-    if tri is None:
-        # target sits on a degenerate image edge: nudge once and rescan
-        shifted = (target[0] + tol, target[1] + tol)
-        tri = _scan_for_triangle(grid, shifted)
-        if tri is None:
-            raise NumericalDegeneracy(
-                f"no non-degenerate triangle image contains {target}"
-            )
-    best_node = None
-    best_dist = math.inf
-    for node in sorted(tri):
-        v = grid.at(*node)
-        d = math.hypot(v[0] - target[0], v[1] - target[1])
-        if d < best_dist - 1e-15:
-            best_node = node
-            best_dist = d
-    return best_node, best_dist
+    nodes = sorted(_scan_for_triangle(grid, target))
+    values = [grid.at(*node) for node in nodes]
+    xs, ys = _to_origin([v[0] for v in values], [v[1] for v in values], target)
+    squared = [x * x + y * y for x, y in zip(xs, ys)]
+    best = squared.index(min(squared))
+    return nodes[best], math.hypot(values[best][0] - target[0], values[best][1] - target[1])
 
 
 @dataclass

@@ -170,7 +170,7 @@ def baer_subplane(q: int) -> SubgraphQuery:
     1 + a*p and 1 + q + b*p*q + c*p for a, b, c in [0, p); lines and points
     share them.
     """
-    spec = enumerate_plane(q).spec
+    spec = field_for_size(q)
     if spec.degree != 2:
         raise UnsupportedField("a Baer subplane needs q = p^2")
     p = spec.p

@@ -14,23 +14,23 @@ import itertools
 import math
 import random
 import zlib
+from fractions import Fraction
 
 from skalab.errors import (
     ChartInvalid,
     DegenerateH,
     EstimatorFailure,
     NotCovered,
-    NumericalDegeneracy,
+    SkalabError,
+    TargetOnBoundary,
     UnsupportedField,
 )
 from skalab.finite_field import field_for_size, parse_elt
 from skalab.halving_walk import (
-    BOUNDARY_EPS,
     ComplexityEstimator,
     HalveReport,
     boundary_polyline,
     pair_condition,
-    winding_number,
 )
 from skalab.incidence_graph import BiGraph, SubgraphQuery, count_induced_edges
 from skalab.projective_plane import (
@@ -50,6 +50,29 @@ from skalab.ska_protocol import (
     bob_round1,
 )
 from skalab.subplane_cover import Automorphism, baer_flag_ids
+
+
+# -- field resolution by scanning ----------------------------------------------
+
+def is_prime_trial(n: int) -> bool:
+    """Trial-division primality."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def is_irreducible_scan(p: int, u: int, v: int) -> bool:
+    """True iff X^2 - v*X - u has no root in GF(p), by trying every element."""
+    return all((x * x - v * x - u) % p != 0 for x in range(p))
 
 
 # -- plane enumeration on objects ---------------------------------------------
@@ -386,6 +409,54 @@ def lipschitz_pairwise(grid) -> float:
     return worst
 
 
+# Float predicates with tolerances: a target within BOUNDARY_EPS * scale of
+# the boundary image counts as on it, a barycentric coordinate down to -1e-12
+# as inside, and distances within 1e-15 as tied.
+BOUNDARY_EPS = 1e-9
+
+
+class NumericalDegeneracy(SkalabError):
+    """The float preimage search hit only degenerate triangle images."""
+
+
+def polyline_scale(poly) -> float:
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+
+
+def segment_distance(p, a, b) -> float:
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    denom = dx * dx + dy * dy
+    if denom == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def near_boundary(grid, target) -> bool:
+    """True iff the target is within BOUNDARY_EPS * scale of the boundary image."""
+    poly = boundary_polyline(grid)
+    tol = BOUNDARY_EPS * polyline_scale(poly)
+    return any(segment_distance(target, a, b) <= tol for a, b in zip(poly, poly[1:] + poly[:1]))
+
+
+def winding_number_float(grid, target) -> int:
+    """Signed turns of the boundary image around the target, by summed atan2 angles."""
+    if near_boundary(grid, target):
+        raise TargetOnBoundary(f"target {target} lies on the boundary image")
+    poly = boundary_polyline(grid)
+    tx, ty = target
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        ax, ay, bx, by = ax - tx, ay - ty, bx - tx, by - ty
+        total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    return round(total / (2.0 * math.pi))
+
+
 def _barycentric(grid, tri, target):
     va, vb, vc = (grid.at(*v) for v in tri)
     m00, m01 = vb[0] - va[0], vc[0] - va[0]
@@ -399,26 +470,28 @@ def _barycentric(grid, tri, target):
     return (1.0 - lb - lc, lb, lc)
 
 
-def scan_triangles(grid, target):
-    """First triangle, lower before upper in each cell, whose image holds the target."""
+def _triangles(grid):
+    """Every triangle in scan order: cells by (i, j), lower before upper."""
     for i in range(grid.width):
         for j in range(grid.height):
-            for tri in (((i, j), (i + 1, j), (i + 1, j + 1)),
-                        ((i, j), (i, j + 1), (i + 1, j + 1))):
-                lam = _barycentric(grid, tri, target)
-                if lam is not None and all(l >= -1e-12 for l in lam):
-                    return tri
+            yield ((i, j), (i + 1, j), (i + 1, j + 1))
+            yield ((i, j), (i, j + 1), (i + 1, j + 1))
+
+
+def scan_triangles(grid, target):
+    """First triangle whose image holds the target, within -1e-12 barycentric."""
+    for tri in _triangles(grid):
+        lam = _barycentric(grid, tri, target)
+        if lam is not None and all(l >= -1e-12 for l in lam):
+            return tri
     return None
 
 
 def find_preimage_tuples(grid, target):
     """Nearest vertex of the first covering triangle, one nudge on a miss."""
-    if winding_number(grid, target) == 0:
+    if winding_number_float(grid, target) == 0:
         raise NotCovered(f"boundary image does not wind around {target}")
-    poly = boundary_polyline(grid)
-    scale = max(max(p[0] for p in poly) - min(p[0] for p in poly),
-                max(p[1] for p in poly) - min(p[1] for p in poly), 1.0)
-    tol = BOUNDARY_EPS * scale
+    tol = BOUNDARY_EPS * polyline_scale(boundary_polyline(grid))
     tri = scan_triangles(grid, target)
     if tri is None:
         tri = scan_triangles(grid, (target[0] + tol, target[1] + tol))
@@ -433,15 +506,84 @@ def find_preimage_tuples(grid, target):
     return best_node, best_dist
 
 
-def halve_tuples(x: bytes, y: bytes, est) -> HalveReport:
-    """The halving pipeline on a `TupleGrid`."""
+def _barycentric_fraction(grid, tri, target):
+    """Exact barycentric coordinates of the target, or None for a zero-area image."""
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(a), Fraction(b)) for a, b in (grid.at(*v) for v in tri))
+    det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+    if det == 0:
+        return None
+    rx, ry = Fraction(target[0]) - ax, Fraction(target[1]) - ay
+    lb = (rx * (cy - ay) - ry * (cx - ax)) / det
+    lc = (ry * (bx - ax) - rx * (by - ay)) / det
+    return (1 - lb - lc, lb, lc)
+
+
+def winding_number_fraction(grid, target) -> int:
+    """The crossing-rule winding number of the boundary image, in rationals."""
+    tx, ty = Fraction(target[0]), Fraction(target[1])
+    poly = [(Fraction(a) - tx, Fraction(b) - ty) for a, b in boundary_polyline(grid)]
+    winding = 0
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        cross = ax * by - ay * bx
+        if cross == 0 and ax * bx + ay * by <= 0:
+            raise TargetOnBoundary(f"target {target} lies on the boundary image")
+        if ay <= 0 < by and cross > 0:
+            winding += 1
+        elif by <= 0 < ay and cross < 0:
+            winding -= 1
+    return winding
+
+
+def find_preimage_fraction(grid, target):
+    """Nearest vertex, by exact squared distance, of the first triangle whose
+    image holds the target with all barycentric coordinates >= 0."""
+    if winding_number_fraction(grid, target) == 0:
+        raise NotCovered(f"boundary image does not wind around {target}")
+    tri = next(t for t in _triangles(grid)
+               if (lam := _barycentric_fraction(grid, t, target)) and min(lam) >= 0)
+    tx, ty = Fraction(target[0]), Fraction(target[1])
+    nodes = sorted(tri)
+    values = [grid.at(*node) for node in nodes]
+    squared = [(Fraction(a) - tx) ** 2 + (Fraction(b) - ty) ** 2 for a, b in values]
+    best = squared.index(min(squared))
+    v = values[best]
+    return nodes[best], math.hypot(v[0] - target[0], v[1] - target[1])
+
+
+def within_float_tolerances(grid, target) -> bool:
+    """True iff the float predicates' tolerances explain a result that differs
+    from the exact one: the target lies within BOUNDARY_EPS * scale of the
+    boundary image, or within a barycentric 1e-12 of the edges of the first
+    triangle image on whose containment the two disagree, or, in the first
+    triangle image both say holds it, its two nearest vertices' distances
+    tie within 1e-15 (relative above 1)."""
+    if near_boundary(grid, target):
+        return True
+    for tri in _triangles(grid):
+        lam, loose = _barycentric_fraction(grid, tri, target), _barycentric(grid, tri, target)
+        exact = lam is not None and min(lam) >= 0
+        if exact != (loose is not None and min(loose) >= -1e-12):
+            return lam is not None and abs(min(lam)) <= 1e-12
+        if exact:
+            dists = sorted(math.hypot(a - target[0], b - target[1]) for a, b in (grid.at(*v) for v in tri))
+            return dists[1] - dists[0] <= 1e-15 * max(1.0, dists[1])
+    return False
+
+
+def halve_tuples(x: bytes, y: bytes, est, exact: bool = False) -> HalveReport:
+    """The halving pipeline on a `TupleGrid`, with the float predicates or,
+    when `exact`, their exact rational evaluation."""
+    winding_number, find_preimage = (
+        (winding_number_fraction, find_preimage_fraction) if exact
+        else (winding_number_float, find_preimage_tuples)
+    )
     grid = build_tuple_grid(x, y, est)
     target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
     measured = lipschitz_pairwise(grid)
     winding = winding_number(grid, target)
     alpha = beta = achieved = residual = None
     if winding != 0:
-        (alpha, beta), residual = find_preimage_tuples(grid, target)
+        (alpha, beta), residual = find_preimage(grid, target)
         achieved = grid.at(alpha, beta)
     return HalveReport(
         nx=len(x), ny=len(y), target=target, winding=winding,

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -399,6 +400,17 @@ def test_over_budget_refused_before_tables_or_flags(argv, no_over_budget_work, c
     code, out, err = _run_in_process(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("skalab: ") and "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, (2**31 - 1) ** 2])
+@pytest.mark.parametrize("command", [["ska", "run"], ["ska", "audit"], ["cover"]])
+def test_huge_field_sizes_refused_promptly(command, q, no_over_budget_work, capsys):
+    # resolving the field costs a few modular powers, not a scan up to sqrt(q) or p
+    start = time.perf_counter()
+    code, out, err = _run_in_process(command + ["--q", str(q)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err.startswith("skalab: ") and err.count("\n") == 1
 
 
 Q_KINDS = (("small", ("2", "3", "4", "9")), ("over", ("10007", "10201", "173")),

@@ -8,9 +8,15 @@ import threading
 import pytest
 
 import oracles
-from skalab import halving_walk, incidence_graph
-from skalab.errors import NumericalDegeneracy, SkalabError
-from skalab.finite_field import build_field_spec, field_for_size
+from skalab import incidence_graph
+from skalab.errors import NotCovered, SkalabError, TargetOnBoundary, TooLarge
+from skalab.finite_field import (
+    PRIME_TEST_MAX,
+    _is_irreducible,
+    build_field_spec,
+    field_for_size,
+    is_prime,
+)
 from skalab.halving_walk import (
     CompressionEstimator,
     GridMap,
@@ -47,6 +53,34 @@ from skalab.subplane_cover import (
 
 SUPPORTED_UP_TO_49 = (2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49)
 PLANE_QS = [q for q in SUPPORTED_UP_TO_49 if q <= 25] + [49]
+
+
+PRIMES_TO_200 = [p for p in range(2, 201) if oracles.is_prime_trial(p)]
+# strong pseudoprimes to the bases 2; 2, 3; ...; 2 to 37 (OEIS A014233)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+class TestFieldResolution:
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(-3, 100_000) if is_prime(n) != oracles.is_prime_trial(n)] == []
+
+    def test_is_prime_past_trial_division(self):
+        assert not any(map(is_prime, STRONG_PSEUDOPRIMES))
+        assert [is_prime(2**e - 1) for e in (31, 61, 67, 79)] == [True, True, False, False]
+        assert not is_prime((2**31 - 1) ** 2)
+        with pytest.raises(TooLarge):
+            is_prime(PRIME_TEST_MAX)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_200)
+    def test_irreducibility_matches_scan(self, p):
+        vs = range(p) if p <= 50 else (0, 1, 2, p - 1)
+        for v in vs:
+            for u in range(p):
+                assert _is_irreducible(p, u, v) == oracles.is_irreducible_scan(p, u, v)
+        first = next((u, v) for v in range(p) for u in range(p) if oracles.is_irreducible_scan(p, u, v))
+        spec = build_field_spec(p, 2)
+        assert (spec.u, spec.v) == first
 
 
 class TestFieldTables:
@@ -278,14 +312,22 @@ def _halve_statuses(cases, estimators) -> set:
         assert oracles.grid_nodes(grid) == oracles.grid_nodes(ref_grid)
         assert measured_lipschitz(grid) == oracles.lipschitz_pairwise(ref_grid)
         got = _outcome(halve, x, y, est)
-        want = _outcome(oracles.halve_tuples, x, y, ref)
+        want = _outcome(oracles.halve_tuples, x, y, ref, True)
         if isinstance(got, tuple):
             assert got == want
             statuses.add(got[0].__name__)
         else:
             assert got.to_json_dict() == want.to_json_dict()
             statuses.add(got.status)
+        if _summary(got) != _summary(_outcome(oracles.halve_tuples, x, y, ref)):
+            target = (ref.est(x, b"") / 2.0, ref.est(y, b"") / 2.0)
+            assert oracles.within_float_tolerances(ref_grid, target)
     return statuses
+
+
+def _summary(outcome):
+    """An outcome as comparable data: an exception's (type, message) or a report's JSON."""
+    return outcome if isinstance(outcome, tuple) else outcome.to_json_dict()
 
 
 def _zlib_pair(x, y):
@@ -322,24 +364,37 @@ class TestHalvingWalk:
             a, b = rng.sample(nodes, 2)
             targets.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))  # on a segment
             for target in targets:
-                want = _outcome(oracles.find_preimage_tuples, ref, target)
-                assert _outcome(find_preimage, grid, target) == want
-                assert _outcome(winding_number, grid, target) == _outcome(winding_number, ref, target)
-                seen.add(want[0] if isinstance(want[0], type) else "ok")
+                got = (_outcome(find_preimage, grid, target), _outcome(winding_number, grid, target))
+                assert got == (_outcome(oracles.find_preimage_fraction, ref, target),
+                               _outcome(oracles.winding_number_fraction, ref, target))
+                floats = (_outcome(oracles.find_preimage_tuples, ref, target),
+                          _outcome(oracles.winding_number_float, ref, target))
+                if got != floats:
+                    assert oracles.within_float_tolerances(ref, target)
+                seen.add(got[0][0] if isinstance(got[0][0], type) else "ok")
         assert len(seen) >= 2
+
+    def test_mixed_magnitude_grid_matches_fractions(self):
+        # 5e-324 is subnormal and products of 1e300 overflow a float: scaled
+        # to integers, such a grid needs about 2,100 bits per value
+        rng = random.Random("grid:mixed")
+        magnitudes = (0.0, 5e-324, 1e-300, 0.75, 3.0, 1e300, 1.7976931348623157e308)
+        draw = lambda: rng.choice(magnitudes) * rng.choice((1, -1))  # noqa: E731
+        seen = set()
+        for _ in range(40):
+            w, h = rng.randint(1, 4), rng.randint(1, 4)
+            values = [[(draw(), draw()) for _ in range(h + 1)] for _ in range(w + 1)]
+            grid, ref = GridMap(w, h, values), oracles.TupleGrid(w, h, values)
+            for target in [(draw(), draw()) for _ in range(4)] + [rng.choice(oracles.grid_nodes(ref))]:
+                got = _outcome(find_preimage, grid, target)
+                assert got == _outcome(oracles.find_preimage_fraction, ref, target)
+                assert _outcome(winding_number, grid, target) == _outcome(
+                    oracles.winding_number_fraction, ref, target)
+                seen.add(got[0] if isinstance(got[0], type) else "ok")
+        assert {"ok", NotCovered, TargetOnBoundary} <= seen
 
     def test_zlib_paths_match_tuple_grid(self, grid_path):
         path, prefetch_threads = grid_path
         assert {"ok", "not_covered"} <= _halve_statuses(_zlib_path_cases(), _zlib_pair)
         assert bool(prefetch_threads) == (path == "helped")
         assert threading.get_ident() not in prefetch_threads
-
-    def test_degeneracy_after_nudge_matches(self, monkeypatch):
-        # no fixture found reaches this path honestly: both scans are forced to miss
-        values = [[(0.0, 0.0), (0.0, 4.0)], [(4.0, 0.0), (4.0, 4.0)]]
-        grid, ref = GridMap(1, 1, values), oracles.TupleGrid(1, 1, values)
-        monkeypatch.setattr(halving_walk, "_scan_for_triangle", lambda grid, target: None)
-        monkeypatch.setattr(oracles, "scan_triangles", lambda grid, target: None)
-        want = _outcome(oracles.find_preimage_tuples, ref, (1.0, 2.0))
-        assert want[0] is NumericalDegeneracy
-        assert _outcome(find_preimage, grid, (1.0, 2.0)) == want

@@ -207,6 +207,13 @@ class TestWindingNumber:
         with pytest.raises(TargetOnBoundary):
             winding_number(identity_grid(), (4.0, 0.0))
 
+    def test_target_next_to_boundary_is_not_on_it(self):
+        # only a target on a boundary segment raises, however near it lies
+        grid = identity_grid()
+        assert winding_number(grid, (4.0, 5e-324)) == 1
+        assert winding_number(grid, (4.0, -5e-324)) == 0
+        assert winding_number(grid, (math.nextafter(8.0, 0.0), 4.0)) == 1
+
     def test_translation_invariance(self):
         rng = random.Random(4)
         base = grid_from_fn(6, 6, lambda i, j: (2.0 * i - j, i + j))
@@ -249,13 +256,17 @@ class TestFindPreimage:
         with pytest.raises(NotCovered):
             find_preimage(identity_grid(), (20.0, 4.0))
 
-    def test_containment_tolerance_is_1e_12(self):
-        # the target misses the lower triangle (0,0),(1,0),(1,1) by a
-        # barycentric 2e-10, so the upper triangle holds it; a looser
-        # tolerance would take the lower one and return its vertex (1, 0)
+    def test_containment_is_exact(self):
+        # the lower triangle (0,0),(1,0),(1,1) and the upper one share the
+        # diagonal image from (0, 0) to (10, 10); a target on it is in the
+        # lower one, the first scanned, and its vertex (1, 0) is nearest
         values = [[(0.0, 0.0), (-50.0, 60.0)], [(5.5, 4.5), (10.0, 10.0)]]
-        node, _ = find_preimage(GridMap(1, 1, values), (5.0 - 1e-10, 5.0 + 1e-10))
-        assert node == (0, 0)
+        grid = GridMap(1, 1, values)
+        assert find_preimage(grid, (5.0, 5.0))[0] == (1, 0)
+        # a barycentric 2e-10, or one ulp, off the diagonal is in the upper
+        # one only; a tolerance of 1e-9 would still take the lower one
+        assert find_preimage(grid, (5.0 - 1e-10, 5.0 + 1e-10))[0] == (0, 0)
+        assert find_preimage(grid, (5.0, math.nextafter(5.0, 6.0)))[0] == (1, 1)
 
     def test_residual_bounded_by_triangle_diameter(self):
         rng = random.Random(5)

@@ -1,4 +1,5 @@
-"""No module under src/skalab imports a name that it never uses."""
+"""No module under src/skalab imports a name that it never uses, and every
+exception class it defines is used by name in another of its modules."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,14 @@ def test_no_unused_imports_in_src():
         if (found := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert problems == {}
+
+
+def test_every_error_class_is_used_outside_errors():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(classes - used) == []

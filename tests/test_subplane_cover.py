@@ -38,6 +38,14 @@ class TestBaerSubplane:
         with pytest.raises(UnsupportedField):
             baer_subplane(5)
 
+    def test_ids_without_enumerating_the_plane(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"PG(2,{q}) enumerated")
+
+        monkeypatch.setattr(subplane_cover, "enumerate_plane", refuse)
+        q = baer_subplane(169)
+        assert (len(q.left), len(q.right)) == (183, 183)
+
     def test_selected_vertices_have_subfield_coordinates(self):
         plane = enumerate_plane(9)
         q = baer_subplane(9)
