@@ -10,6 +10,9 @@ depend on scheduling.
 Defaults come from, in increasing precedence: built-ins, a flat key=value
 config file (`--config`), the SKALAB_SEED environment variable (seed only),
 explicit flags.
+
+The parser is built from names only; each command imports the modules it
+needs when it runs, so `--version` loads none of them.
 """
 
 from __future__ import annotations
@@ -21,21 +24,11 @@ import sys
 
 from . import __version__
 from .errors import InvariantViolation, SkalabError
-from .finite_field import field_for_size
-from .halving_walk import ESTIMATOR_IDS, get_estimator, halve
-from .incidence_graph import (
-    BoundReport,
-    build_plane_graph,
-    dense_subgraph_search,
-    sdz_report,
-)
-from .projective_plane import enumerate_plane, sample_flag
-from .reporting import canonical_json, envelope, render_csv
-from .ska_protocol import run_session, secrecy_audit
-from .subplane_cover import baer_subplane, build_cover
 
 FORMATS = ("json", "csv")
 STRATEGIES = ("exhaustive", "greedy-peel", "local-swap")
+ESTIMATOR_IDS = ("zlib", "ramp", "prefix-gap")  # = halving_walk.ESTIMATOR_IDS
+FLAG_CSV_CHUNK_ROWS = 8192  # about the rows `plane --flags` renders per write
 NO_EFFECT = "no effect; kept for compatibility (runs are serial)"
 
 
@@ -76,31 +69,56 @@ def _resolve(args, key: str, cast, fallback, choices=None):
 
 
 def _emit(args, text: str) -> None:
+    _emit_chunks(args, (text,))
+
+
+def _emit_chunks(args, chunks) -> None:
+    """Write each text chunk of an iterable, in order, to --out or stdout."""
     if args.out in (None, "-"):
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise SkalabError(f"cannot write output: {exc}") from exc
 
 
+def _flag_csv_chunks(plane):
+    """The `plane --flags` CSV, a block of lines per chunk."""
+    from .reporting import render_csv
+
+    q = plane.q
+    n_lines = plane.counts()[1]
+    step = max(1, FLAG_CSV_CHUNK_ROWS // (q + 1))
+    header = ("q", "line_id", "point_id")
+    for start in range(0, n_lines, step):
+        rows = [(q, lid, pid) for lid in range(start, min(start + step, n_lines))
+                for pid in plane.row(lid)]
+        yield render_csv(header if start == 0 else None, rows)
+
+
 def cmd_plane(args) -> int:
+    from .projective_plane import enumerate_plane, flag_count, plane_field
+    from .reporting import canonical_json, envelope, render_csv
+
     fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
-    plane = enumerate_plane(args.q)
+    plane_field(args.q)  # the plane budget and the field, before any work
     config = {"command": "plane", "q": args.q, "format": fmt, "seed": seed,
               "version": __version__}
-    n_points, n_lines, n_flags = plane.counts()
+    n_points = n_lines = args.q * args.q + args.q + 1
+    n_flags = flag_count(args.q)
+    plane = enumerate_plane(args.q) if args.flags else None
     if fmt == "csv":
         if args.flags:
-            header = ("q", "line_id", "point_id")
-            rows = [(args.q, lid, pid) for lid, pid in plane.flag_ids]
+            _emit_chunks(args, _flag_csv_chunks(plane))
         else:
             header = ("schema_version", "version", "q", "seed", "points", "lines", "flags", "degree")
             rows = [(1, __version__, args.q, seed, n_points, n_lines, n_flags, args.q + 1)]
-        _emit(args, render_csv(header, rows))
+            _emit(args, render_csv(header, rows))
         return 0
     body = {
         "points": n_points,
@@ -109,30 +127,44 @@ def cmd_plane(args) -> int:
         "degree": args.q + 1,
     }
     if args.flags:
-        body["flag_list"] = [[lid, pid] for lid, pid in plane.flag_ids]
+        body["flag_list"] = [[lid, pid] for lid in range(n_lines) for pid in plane.row(lid)]
     _emit(args, canonical_json(envelope("plane", config, body)))
     return 0
 
 
 def cmd_audit(args) -> int:
+    from .incidence_graph import (
+        BoundReport,
+        PlaneHost,
+        build_plane_graph,
+        dense_subgraph_search,
+        sdz_report,
+    )
+    from .projective_plane import plane_field
+    from .reporting import canonical_json, envelope, render_csv
+
     fmt = _resolve(args, "format", str, "csv", FORMATS)
     seed = _resolve(args, "seed", int, 0)
     strategy = _resolve(args, "strategy", str, "greedy-peel", STRATEGIES)
     iters = _resolve(args, "iters", int, 100)
     if iters < 0:
         raise SkalabError(f"iters must be non-negative, got {iters}")
-    g = build_plane_graph(args.q)
+    plane_field(args.q)  # the plane budget and the field, before any work
     if args.baer:
+        from .subplane_cover import baer_subplane
+
         query = baer_subplane(args.q)
+        host = PlaneHost(args.q)
         label = "baer"
     else:
         if args.a is None or args.b is None:
             raise SkalabError("audit needs --baer or both --a and --b")
+        host = build_plane_graph(args.q)
         query, _ = dense_subgraph_search(
-            g, args.a, args.b, strategy=strategy, seed=seed, iters=iters
+            host, args.a, args.b, strategy=strategy, seed=seed, iters=iters
         )
         label = strategy
-    report = sdz_report(g, query)
+    report = sdz_report(host, query)
     config = {
         "command": "audit", "q": args.q, "seed": seed, "strategy": label,
         "a": args.a, "b": args.b, "iters": iters, "format": fmt,
@@ -149,6 +181,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ska(args) -> int:
+    from .finite_field import field_for_size
+    from .projective_plane import sample_flag
+    from .reporting import canonical_json, envelope
+    from .ska_protocol import run_session, secrecy_audit
+
     fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
     spec = field_for_size(args.q)
@@ -167,6 +204,9 @@ def cmd_ska(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from .reporting import canonical_json, envelope
+    from .subplane_cover import build_cover
+
     fmt = _resolve(args, "format", str, "json", FORMATS)
     seed = _resolve(args, "seed", int, 0)
     c = _resolve(args, "c", float, 3.0)
@@ -180,6 +220,9 @@ def cmd_cover(args) -> int:
 
 
 def cmd_halve(args) -> int:
+    from .halving_walk import get_estimator, halve
+    from .reporting import canonical_json, envelope
+
     estimator_id = _resolve(args, "estimator", str, "zlib", ESTIMATOR_IDS)
     try:
         with open(args.x_file, "rb") as fh:

@@ -11,12 +11,16 @@ which is the order of the flattened residue tuples (a0, a1 per coordinate),
 so ids are stable across runs.  `vertex_id` and `vertex_triple` convert
 between ids and canonical triples; `class_ids` gives the ids of any nonzero
 triples of element indices.  `line_points` lists the point ids of one line
-from the field tables.  `Plane` enumerates all flags with it, and
-`flag_ids_at` decodes a single flag index with it, so `sample_flag` needs no
-enumeration.  Objects are built only when a caller asks for them, by
-`flag_from_ids`, which skips the canonicalization and incidence checks of
-the public constructors.  `enumerate_plane` refuses, before any field table
-is built, a plane of more than `PLANE_MAX_FLAGS` flags.
+from the field tables.  `Plane` keeps the point ids of all flags in one
+flat `array('I')`, line after line, so flag i is (i // (q+1), rows[i]);
+its tuple list `flag_ids` and dict `flag_index` are built only on first
+read.  `flag_ids_at` decodes a single flag index with `line_points`, so
+`sample_flag` needs no enumeration.  Objects are built only when a caller
+asks for them, by `flag_from_ids`, which skips the canonicalization and
+incidence checks of the public constructors.  `plane_field` refuses, before
+any field table is built, a plane of more than `PLANE_MAX_FLAGS` flags;
+`enumerate_plane` calls it, and so do the `plane` and `audit` commands before
+any other work.
 
 The affine chart maps a flag (line x, point y) with x0 != 0 and y2 != 0 to
 six subfield residues (f, r, g, t, h, s) via
@@ -33,19 +37,20 @@ re-coordinatized.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import ChartInvalid, SpecMismatch, TooLarge, UnsupportedField, ZeroVector
 from .finite_field import Elt, FieldSpec, field_for_size, format_elt
 
 Triple = tuple[Elt, Elt, Elt]
 
-# Most flags `enumerate_plane` accepts.  PG(2,169), with 4,884,270, fits
-# (`plane --q 169`: about 2 s and 500 MB on a 2-vCPU host); PG(2,173), with
-# 5,237,922, is refused.
+# Most flags `plane_field` accepts.  PG(2,169), with 4,884,270, fits
+# (`plane --q 169 --format csv --flags`: about 5 s and 37 MB peak RSS on a
+# 2-vCPU host); PG(2,173), with 5,237,922, is refused.
 PLANE_MAX_FLAGS = 5_000_000
 
 
@@ -246,21 +251,39 @@ def flag_from_ids(spec: FieldSpec, lid: int, pid: int) -> Flag:
     return flag
 
 
+def flag_rows(spec: FieldSpec) -> array:
+    """The point ids of every line of PG(2,q), line after line, in one array."""
+    points = line_points(spec)
+    q = spec.size
+    rows = array("I")
+    for lid in range(q * q + q + 1):
+        rows.extend(points(lid))
+    return rows
+
+
 class Plane:
-    """Immutable enumeration of PG(2,q): flag ids, plus lazy object lookups."""
+    """PG(2,q) as one flat array of flags, plus lazy views and object lookups.
+
+    `rows[lid*(q+1):(lid+1)*(q+1)]` holds the point ids of line `lid`, in
+    ascending order, so flags are indexed in (line id, point id) order.
+    """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.q = spec.size
-        self.flag_ids: list[tuple[int, int]] = self._enumerate_flags()
+        self.rows = flag_rows(spec)
 
-    def _enumerate_flags(self) -> list[tuple[int, int]]:
-        """All (line id, point id) incidences, in ascending order."""
-        points = line_points(self.spec)
-        pairs: list[tuple[int, int]] = []
-        for lid in range(self._n_vertices()):
-            pairs.extend(zip(repeat(lid), points(lid)))
-        return pairs
+    def row(self, lid: int) -> array:
+        """The point ids of line `lid`, ascending."""
+        k = self.q + 1
+        return self.rows[lid * k:(lid + 1) * k]
+
+    @cached_property
+    def flag_ids(self) -> list[tuple[int, int]]:
+        """All (line id, point id) incidences, in index order."""
+        k = self.q + 1
+        lids = chain.from_iterable(repeat(lid, k) for lid in range(self._n_vertices()))
+        return list(zip(lids, self.rows))
 
     @cached_property
     def points(self) -> list[ProjPoint]:
@@ -286,7 +309,7 @@ class Plane:
         return self.q * self.q + self.q + 1
 
     def flag(self, index: int) -> Flag:
-        return flag_from_ids(self.spec, *self.flag_ids[index])
+        return flag_from_ids(self.spec, index // (self.q + 1), self.rows[index])
 
     def index_of(self, flag: Flag) -> int:
         """Position of a flag in `flag_ids`."""
@@ -294,17 +317,25 @@ class Plane:
 
     def counts(self) -> tuple[int, int, int]:
         n = self._n_vertices()
-        return (n, n, len(self.flag_ids))
+        return (n, n, flag_count(self.q))
+
+
+def plane_field(q: int) -> FieldSpec:
+    """The field of PG(2,q), q = p or p^2 with p prime, within `PLANE_MAX_FLAGS`.
+
+    The budget is checked before the field is resolved.
+    """
+    if flag_count(q) > PLANE_MAX_FLAGS:
+        raise TooLarge(
+            f"PG(2,{q}) has {flag_count(q):,} flags; the plane budget is {PLANE_MAX_FLAGS:,}"
+        )
+    return field_for_size(q)
 
 
 @lru_cache(maxsize=16)
 def enumerate_plane(q: int) -> Plane:
     """Enumerate PG(2,q), q = p or p^2 with p prime, within `PLANE_MAX_FLAGS`."""
-    if flag_count(q) > PLANE_MAX_FLAGS:
-        raise TooLarge(
-            f"PG(2,{q}) has {flag_count(q):,} flags; the plane budget is {PLANE_MAX_FLAGS:,}"
-        )
-    return Plane(field_for_size(q))
+    return Plane(plane_field(q))
 
 
 def to_chart(flag: Flag) -> ChartCoords:

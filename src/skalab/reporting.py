@@ -40,13 +40,22 @@ def _csv_cell(value):
     return value
 
 
-def render_csv(header: tuple, rows: list[tuple]) -> str:
-    """RFC-4180 CSV (CRLF, minimal quoting) with one header row."""
+# cell types that csv.writer would render otherwise; it writes ints and
+# strings as `_csv_cell` leaves them, and None as ""
+_RENDERED_CELLS = frozenset((float, bool))
+
+
+def _csv_row(row):
+    return row if _RENDERED_CELLS.isdisjoint(map(type, row)) else [_csv_cell(v) for v in row]
+
+
+def render_csv(header: tuple | None, rows: list[tuple]) -> str:
+    """RFC-4180 CSV (CRLF, minimal quoting): the header row, unless None, then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(map(_csv_row, rows))
     return buf.getvalue()
 
 

@@ -32,7 +32,7 @@ from skalab.halving_walk import (
     boundary_polyline,
     pair_condition,
 )
-from skalab.incidence_graph import BiGraph, SubgraphQuery, count_induced_edges
+from skalab.incidence_graph import BiGraph, SubgraphQuery, zarankiewicz_bound
 from skalab.projective_plane import (
     ChartCoords,
     Flag,
@@ -291,9 +291,23 @@ def is_biregular(g: BiGraph) -> bool:
     return len(left_degs) == 1 and len(right_degs) == 1
 
 
+def edge_set(g: BiGraph) -> set[tuple[int, int]]:
+    """Every edge of a graph as a (left id, right id) pair."""
+    return {
+        (g.left_ids[lp], g.right_ids[rp])
+        for lp, nbrs in enumerate(g._left_adj)
+        for rp in nbrs
+    }
+
+
+def within_cap_float(edges: int, left_size: int, right_size: int) -> bool:
+    """edges <= the Reiman cap, by the float bound with a 1e-9 tolerance."""
+    return edges <= zarankiewicz_bound(left_size, right_size) + 1e-9
+
+
 def c4_free_pairwise(g: BiGraph) -> bool:
     """True iff no two left vertices share two common right neighbors."""
-    bits = [g._left_bits[l] for l in g.left_ids]
+    bits = g._left_bits
     n = len(bits)
     for i in range(n):
         bi = bits[i]
@@ -309,23 +323,23 @@ def search_greedy_linear(g: BiGraph, a: int, b: int):
     """Peel the min-degree vertex from the side with more excess until (a, b)."""
     left = sorted(g.left_ids)
     right = sorted(g.right_ids)
-    left_mask = g.left_mask(left)
-    right_mask = g.right_mask(right)
+    left_mask = (1 << len(left)) - 1
+    right_mask = (1 << len(right)) - 1
     while len(left) > a or len(right) > b:
         excess_l, excess_r = len(left) - a, len(right) - b
         peel_left = excess_l > excess_r or (
             excess_l == excess_r and len(left) >= len(right)
         )
         if peel_left:
-            victim = min(left, key=lambda l: ((g._left_bits[l] & right_mask).bit_count(), l))
+            victim = min(left, key=lambda l: ((g._left_bits[g._left_pos[l]] & right_mask).bit_count(), l))
             left.remove(victim)
             left_mask &= ~(1 << g._left_pos[victim])
         else:
-            victim = min(right, key=lambda r: ((g._right_bits[r] & left_mask).bit_count(), r))
+            victim = min(right, key=lambda r: ((g._right_bits[g._right_pos[r]] & left_mask).bit_count(), r))
             right.remove(victim)
             right_mask &= ~(1 << g._right_pos[victim])
     query = SubgraphQuery.of(left, right)
-    return query, count_induced_edges(g, query)
+    return query, g.induced_edges(query)
 
 
 # -- halving walk on a list-of-tuples grid --------------------------------------

@@ -7,6 +7,11 @@ import time
 
 import pytest
 
+# every command module is imported up front: one first imported by `main`
+# while a test patches a name it imports would keep the patched name
+import skalab.halving_walk  # noqa: F401
+import skalab.ska_protocol  # noqa: F401
+import skalab.subplane_cover  # noqa: F401
 from skalab import projective_plane
 from skalab.cli import main
 from skalab.finite_field import TABLE_MAX_ENTRIES, FieldSpec
@@ -57,6 +62,39 @@ class TestPlane:
         lines = out.decode().split("\r\n")
         assert lines[0] == "q,line_id,point_id"
         assert len([l for l in lines[1:] if l]) == 21
+
+    def test_counts_enumerate_nothing(self, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("plane enumeration started")
+
+        monkeypatch.setattr(projective_plane, "enumerate_plane", no_work)
+        monkeypatch.setattr(projective_plane, "flag_rows", no_work)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["plane", "--q", "101"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["points"], data["flags"], data["degree"]) == (10303, 1050906, 102)
+
+    def test_flag_csv_chunks_join_to_one_table(self, monkeypatch, capsys):
+        # three lines per chunk: PG(2,13)'s 183 lines make 61 chunks
+        import skalab.cli as cli_mod
+        import skalab.reporting as reporting
+
+        chunks = []
+        render_csv = reporting.render_csv
+
+        def counted(header, rows):
+            chunks.append(len(rows))
+            return render_csv(header, rows)
+
+        monkeypatch.setattr(reporting, "render_csv", counted)
+        monkeypatch.setattr(cli_mod, "FLAG_CSV_CHUNK_ROWS", 3 * 14)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["plane", "--q", "13", "--format", "csv", "--flags"]) == 0
+        assert chunks == [3 * 14] * 61
+        lines = capsys.readouterr().out.split("\r\n")
+        assert lines[0] == "q,line_id,point_id" and lines[-1] == ""
+        plane = projective_plane.enumerate_plane(13)
+        assert lines[1:-1] == [f"13,{lid},{pid}" for lid, pid in plane.flag_ids]
 
     def test_byte_identical_runs(self):
         a = run_cli("plane", "--q", "9", "--format", "json")
@@ -112,6 +150,60 @@ class TestAudit:
         rec = dict(zip(header.split(","), row.split(",")))
         assert (rec["edges"], rec["density_exponent"]) == ("1", "0")
 
+    def test_baer_audit_builds_no_graph_and_enumerates_nothing(self, monkeypatch, capsys):
+        import skalab.incidence_graph as graph_mod
+
+        def no_work(*args):
+            raise AssertionError("graph, C4 check or plane enumeration started")
+
+        for module, name in ((graph_mod, "build_plane_graph"), (graph_mod, "c4_free_check"),
+                             (graph_mod, "enumerate_plane"), (projective_plane, "enumerate_plane"),
+                             (projective_plane, "flag_rows")):
+            monkeypatch.setattr(module, name, no_work)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", "--q", "49", "--baer"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\r\n")
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert (rec["left_size"], rec["edges"], rec["kst_bound"]) == ("57", "456", "456")
+
+    def test_greedy_audit_under_the_cap_skips_the_c4_check(self, monkeypatch, capsys):
+        import skalab.incidence_graph as graph_mod
+
+        def no_check(*args):
+            raise AssertionError("C4 check started")
+
+        monkeypatch.setattr(graph_mod, "c4_free_check", no_check)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", "--q", "53", "--a", "40", "--b", "40"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\r\n")
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert int(rec["edges"]) < float(rec["kst_bound"])
+
+    @pytest.mark.parametrize("host, code", [("plane", 3), ("k22", 0)])
+    def test_count_over_the_cap_runs_the_c4_check(self, host, code, monkeypatch, capsys):
+        # over the cap, only a C4-free host makes the report an invariant violation
+        import skalab.incidence_graph as graph_mod
+
+        monkeypatch.setattr(graph_mod.BiGraph, "induced_edges", lambda g, query: 4)
+        if host == "k22":
+            k22 = graph_mod.BiGraph([0, 1], [0, 1], {(0, 0), (0, 1), (1, 0), (1, 1)}, q=2)
+            monkeypatch.setattr(graph_mod, "build_plane_graph", lambda q: k22)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", "--q", "2", "--a", "2", "--b", "2"]) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert out == ""
+            assert err.startswith("skalab: invariant violation: C4-free host exceeds "
+                                  "the Zarankiewicz bound: 4 > 3.236")
+
+    def test_baer_count_over_the_cap_exits_3(self, monkeypatch, capsys):
+        import skalab.incidence_graph as graph_mod
+
+        monkeypatch.setattr(graph_mod.PlaneHost, "induced_edges", lambda host, query: 53)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["audit", "--q", "9", "--baer"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_missing_sizes_exits_2(self):
         code, _, _ = run_cli("audit", "--q", "9")
         assert code == 2
@@ -153,7 +245,7 @@ class TestSka:
 
     def test_nonuniform_audit_exits_3(self, monkeypatch, capsys):
         # regression guard: exit 3 is wired to the uniformity verdict
-        import skalab.cli as cli_mod
+        import skalab.ska_protocol as ska
 
         class FakeAudit:
             uniform = False
@@ -161,7 +253,7 @@ class TestSka:
             def to_json_dict(self):
                 return {"uniform": False}
 
-        monkeypatch.setattr(cli_mod, "secrecy_audit", lambda q: FakeAudit())
+        monkeypatch.setattr(ska, "secrecy_audit", lambda q: FakeAudit())
         code = main(["ska", "audit", "--q", "9"])
         capsys.readouterr()
         assert code == 3
@@ -365,6 +457,7 @@ def test_bad_input_exits_2(argv, config, env, tmp_path, monkeypatch, capsys):
 def no_over_budget_work(monkeypatch):
     """Fail, instead of allocating, if a table or plane past its budget starts."""
     elements, plane_init = FieldSpec.elements, projective_plane.Plane.__init__
+    flag_rows = projective_plane.flag_rows
 
     def guarded_elements(self):  # the first step of building the field tables
         if self.size ** 2 > TABLE_MAX_ENTRIES:
@@ -376,8 +469,14 @@ def no_over_budget_work(monkeypatch):
             raise AssertionError(f"enumeration of PG(2,{spec.size}) started")
         plane_init(self, spec)
 
+    def guarded_rows(spec):  # the flat flag array of a plane
+        if flag_count(spec.size) > PLANE_MAX_FLAGS:
+            raise AssertionError(f"flag array of PG(2,{spec.size}) started")
+        return flag_rows(spec)
+
     monkeypatch.setattr(FieldSpec, "elements", guarded_elements)
     monkeypatch.setattr(projective_plane.Plane, "__init__", guarded_plane)
+    monkeypatch.setattr(projective_plane, "flag_rows", guarded_rows)
     monkeypatch.delenv("SKALAB_SEED", raising=False)
 
 
@@ -393,7 +492,9 @@ def _run_in_process(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["plane", "--q", "10007"],
+    ["plane", "--q", "173"],
     ["audit", "--q", "10007", "--a", "2", "--b", "2"],
+    ["audit", "--q", "173", "--baer"],
     ["ska", "run", "--q", "10201"],
 ])
 def test_over_budget_refused_before_tables_or_flags(argv, no_over_budget_work, capsys):
@@ -450,6 +551,21 @@ def test_seeded_cli_arguments_exit_cleanly(no_over_budget_work, capsys):
             assert code == 2, argv
         codes.add(code)
     assert codes == {0, 2}
+
+
+def test_version_loads_no_command_module():
+    check = ("import sys\nfrom skalab.cli import main\n"
+             "try:\n    main(['--version'])\nexcept SystemExit:\n    pass\n"
+             "sys.exit(any(m in sys.modules for m in "
+             "('skalab.projective_plane', 'skalab.halving_walk')))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"skalab ")
+
+
+def test_estimator_ids_match_the_halving_walk():
+    from skalab import cli, halving_walk
+
+    assert cli.ESTIMATOR_IDS == halving_walk.ESTIMATOR_IDS
 
 
 def test_cli_import_does_not_load_thread_pool():

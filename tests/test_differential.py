@@ -27,7 +27,16 @@ from skalab.halving_walk import (
     measured_lipschitz,
     winding_number,
 )
-from skalab.incidence_graph import build_plane_graph, c4_free_check, dense_subgraph_search
+from skalab.incidence_graph import (
+    BiGraph,
+    PlaneHost,
+    SubgraphQuery,
+    build_plane_graph,
+    c4_free_check,
+    dense_subgraph_search,
+    within_reiman_cap,
+    zarankiewicz_bound,
+)
 from skalab.projective_plane import (
     ChartCoords,
     ProjLine,
@@ -255,6 +264,52 @@ def _sizes(g, rng):
 
 
 class TestIncidenceGraph:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+    def test_plane_graph_matches_graph_of_the_flags(self, q):
+        # both sides share the plane's rows: the lines through point k are
+        # the points of line k
+        plane = enumerate_plane(q)
+        n = plane.counts()[0]
+        got, want = build_plane_graph(q), BiGraph(range(n), range(n), plane.flag_ids, q=q)
+        for side in ("_left_adj", "_right_adj"):
+            assert [sorted(a) for a in getattr(got, side)] == \
+                [sorted(a) for a in getattr(want, side)]
+        assert oracles.edge_set(got) == set(plane.flag_ids)
+        assert got.n_edges == want.n_edges == plane.counts()[2]
+
+    @pytest.mark.parametrize("q", (4, 9, 13, 25))
+    def test_plane_host_counts_match_the_graph(self, q):
+        rng = random.Random(f"plane-host:{q}")
+        g, host = build_plane_graph(q), PlaneHost(q)
+        queries = [baer_subplane(q)] if q in (4, 9, 25) else []
+        for _ in range(30):
+            a, b = rng.randint(1, len(g.left_ids)), rng.randint(1, len(g.right_ids))
+            queries.append(SubgraphQuery.of(rng.sample(g.left_ids, a), rng.sample(g.right_ids, b)))
+        for query in queries:
+            assert host.induced_edges(query) == g.induced_edges(query)
+
+    def test_reiman_cap_matches_the_float_test(self):
+        # every m, n < 200 and every count within 2 of the cap
+        checked = 0
+        for m in range(1, 200):
+            for n in range(1, 200):
+                cap = zarankiewicz_bound(m, n)
+                for edges in range(max(0, math.ceil(cap - 2)), math.floor(cap + 2) + 1):
+                    assert within_reiman_cap(edges, m, n) == \
+                        oracles.within_cap_float(edges, m, n), (edges, m, n)
+                    checked += 1
+        assert checked > 150_000
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+    def test_baer_count_meets_the_cap_exactly(self, p):
+        n = p * p + p + 1
+        edges = n * (p + 1)  # p+1 Baer points on each Baer line
+        assert 4 * n - 3 == (2 * p + 1) ** 2
+        assert zarankiewicz_bound(n, n) == edges
+        assert within_reiman_cap(edges, n, n) and oracles.within_cap_float(edges, n, n)
+        assert not within_reiman_cap(edges + 1, n, n)
+        assert not oracles.within_cap_float(edges + 1, n, n)
+
     def test_c4_check_matches_pairwise(self):
         graphs = _graphs() + [build_plane_graph(q) for q in (11, 13, 25)]
         results = [c4_free_check(g) for g in graphs]

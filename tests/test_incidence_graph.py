@@ -13,10 +13,10 @@ from skalab.errors import (
 )
 from skalab.incidence_graph import (
     BiGraph,
+    PlaneHost,
     SubgraphQuery,
     build_plane_graph,
     c4_free_check,
-    count_induced_edges,
     dense_subgraph_search,
     random_bigraph,
     sdz_report,
@@ -30,7 +30,7 @@ def brute_force_best(g, a, b):
     best = None
     for left in itertools.combinations(g.left_ids, a):
         for right in itertools.combinations(g.right_ids, b):
-            count = count_induced_edges(g, SubgraphQuery.of(left, right))
+            count = g.induced_edges(SubgraphQuery.of(left, right))
             key = (-count, left, right)
             if best is None or key < best:
                 best = key
@@ -40,14 +40,14 @@ def brute_force_best(g, a, b):
 class TestBuildPlaneGraph:
     def test_q3(self):
         g = build_plane_graph(3)
-        assert (len(g.left_ids), len(g.right_ids), len(g.edges)) == (13, 13, 52)
+        assert (len(g.left_ids), len(g.right_ids), g.n_edges) == (13, 13, 52)
         assert all(g.left_degree(l) == 4 for l in g.left_ids)
         assert all(g.right_degree(r) == 4 for r in g.right_ids)
         assert oracles.is_biregular(g)
 
     def test_q2_fano(self):
         g = build_plane_graph(2)
-        assert (len(g.left_ids), len(g.right_ids), len(g.edges)) == (7, 7, 21)
+        assert (len(g.left_ids), len(g.right_ids), g.n_edges) == (7, 7, 21)
         assert all(g.left_degree(l) == 3 for l in g.left_ids)
 
     def test_q9_gamma(self):
@@ -59,27 +59,40 @@ class TestBuildPlaneGraph:
 class TestCountInducedEdges:
     def test_full_graph(self):
         g = build_plane_graph(3)
-        assert count_induced_edges(g, SubgraphQuery.of(g.left_ids, g.right_ids)) == 52
+        assert g.induced_edges(SubgraphQuery.of(g.left_ids, g.right_ids)) == 52
 
     def test_empty_left(self):
         g = build_plane_graph(3)
-        assert count_induced_edges(g, SubgraphQuery.of([], g.right_ids)) == 0
+        assert g.induced_edges(SubgraphQuery.of([], g.right_ids)) == 0
 
     def test_baer_query_q9(self):
         g = build_plane_graph(9)
-        assert count_induced_edges(g, baer_subplane(9)) == 52
+        assert g.induced_edges(baer_subplane(9)) == 52
 
     def test_unknown_vertex(self):
         g = build_plane_graph(3)
         with pytest.raises(UnknownVertex):
-            count_induced_edges(g, SubgraphQuery.of([99], [0]))
+            g.induced_edges(SubgraphQuery.of([99], [0]))
+
+    def test_counting_and_greedy_peel_build_no_bitsets(self):
+        g = build_plane_graph(5)
+        g.induced_edges(SubgraphQuery.of(g.left_ids, g.right_ids))
+        dense_subgraph_search(g, 7, 9, "greedy-peel")
+        assert "_left_bits" not in vars(g) and "_right_bits" not in vars(g)
+        c4_free_check(g)
+        assert "_right_bits" in vars(g)
+
+    def test_plane_host_checks_ids_and_budget(self):
+        with pytest.raises(UnknownVertex):
+            PlaneHost(3).induced_edges(SubgraphQuery.of([0], [13]))
+        with pytest.raises(TooLarge, match="plane budget"):
+            PlaneHost(173)
 
     def test_monotone_under_growth(self):
         g = build_plane_graph(3)
         prev = 0
         for k in range(1, 14):
-            cur = count_induced_edges(
-                g, SubgraphQuery.of(g.left_ids[:k], g.right_ids[:k])
+            cur = g.induced_edges(SubgraphQuery.of(g.left_ids[:k], g.right_ids[:k])
             )
             assert cur >= prev
             prev = cur
@@ -186,23 +199,26 @@ class TestDenseSubgraphSearch:
 class TestRandomBigraph:
     def test_parameter_echo(self):
         g = random_bigraph(6, 6, 9, seed=0)
-        assert (len(g.left_ids), len(g.right_ids), len(g.edges)) == (64, 64, 512)
+        assert (len(g.left_ids), len(g.right_ids), g.n_edges) == (64, 64, 512)
 
     def test_edges_distinct_and_in_range(self):
         g = random_bigraph(5, 5, 8, seed=3)
-        assert len(g.edges) == 256
-        assert all(0 <= l < 32 and 0 <= r < 32 for l, r in g.edges)
+        edges = oracles.edge_set(g)
+        assert len(edges) == g.n_edges == 256
+        assert all(0 <= l < 32 and 0 <= r < 32 for l, r in edges)
 
     def test_too_many_edges(self):
         with pytest.raises(TooManyEdges):
             random_bigraph(2, 2, 5, seed=0)
 
     def test_deterministic(self):
-        assert random_bigraph(6, 6, 9, 42).edges == random_bigraph(6, 6, 9, 42).edges
+        edges = oracles.edge_set
+        assert edges(random_bigraph(6, 6, 9, 42)) == edges(random_bigraph(6, 6, 9, 42))
 
     def test_seed_pair_golden_inequality(self):
         # golden: these two seeds produce different edge sets
-        assert random_bigraph(6, 6, 9, 0).edges != random_bigraph(6, 6, 9, 1).edges
+        edges = oracles.edge_set
+        assert edges(random_bigraph(6, 6, 9, 0)) != edges(random_bigraph(6, 6, 9, 1))
 
 
 class TestC4Free:

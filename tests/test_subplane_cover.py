@@ -7,7 +7,7 @@ import oracles
 from skalab import subplane_cover
 from skalab.errors import SpecMismatch, TooLarge, UnsupportedField
 from skalab.finite_field import build_field_spec, field_for_size
-from skalab.incidence_graph import build_plane_graph, count_induced_edges
+from skalab.incidence_graph import build_plane_graph
 from skalab.projective_plane import enumerate_plane, flag_count, incident
 from skalab.subplane_cover import (
     COVER_MAX_WORK,
@@ -27,12 +27,12 @@ class TestBaerSubplane:
     def test_q9(self):
         q = baer_subplane(9)
         assert (len(q.left), len(q.right)) == (13, 13)
-        assert count_induced_edges(build_plane_graph(9), q) == 52
+        assert build_plane_graph(9).induced_edges(q) == 52
 
     def test_q25(self):
         q = baer_subplane(25)
         assert (len(q.left), len(q.right)) == (31, 31)
-        assert count_induced_edges(build_plane_graph(25), q) == 186
+        assert build_plane_graph(25).induced_edges(q) == 186
 
     def test_prime_field_rejected(self):
         with pytest.raises(UnsupportedField):
