@@ -28,7 +28,7 @@ from .errors import InvariantViolation, SkalabError
 FORMATS = ("json", "csv")
 STRATEGIES = ("exhaustive", "greedy-peel", "local-swap")
 ESTIMATOR_IDS = ("zlib", "ramp", "prefix-gap")  # = halving_walk.ESTIMATOR_IDS
-FLAG_CSV_CHUNK_ROWS = 8192  # about the rows `plane --flags` renders per write
+FLAG_CHUNK_ROWS = 8192  # about the flags `plane --flags` renders per write
 NO_EFFECT = "no effect; kept for compatibility (runs are serial)"
 
 
@@ -86,18 +86,38 @@ def _emit_chunks(args, chunks) -> None:
         raise SkalabError(f"cannot write output: {exc}") from exc
 
 
+def _line_blocks(plane):
+    """Ranges of line ids holding about `FLAG_CHUNK_ROWS` flags each."""
+    n_lines = plane.counts()[1]
+    step = max(1, FLAG_CHUNK_ROWS // (plane.q + 1))
+    for start in range(0, n_lines, step):
+        yield range(start, min(start + step, n_lines))
+
+
 def _flag_csv_chunks(plane):
     """The `plane --flags` CSV, a block of lines per chunk."""
     from .reporting import render_csv
 
     q = plane.q
-    n_lines = plane.counts()[1]
-    step = max(1, FLAG_CSV_CHUNK_ROWS // (q + 1))
     header = ("q", "line_id", "point_id")
-    for start in range(0, n_lines, step):
-        rows = [(q, lid, pid) for lid in range(start, min(start + step, n_lines))
-                for pid in plane.row(lid)]
-        yield render_csv(header if start == 0 else None, rows)
+    for block in _line_blocks(plane):
+        rows = [(q, lid, pid) for lid in block for pid in plane.row(lid)]
+        yield render_csv(header if block.start == 0 else None, rows)
+
+
+def _flag_json_chunks(report: str, plane):
+    """The `plane --flags` JSON in chunks.
+
+    `report` is the canonical JSON of the envelope with an empty "flag_list".
+    The rows go between its brackets, a block of lines per chunk, in the
+    bytes `canonical_json` gives a list of [lid, pid] pairs.
+    """
+    head, tail = report.split('"flag_list":[]')
+    yield head + '"flag_list":['
+    for block in _line_blocks(plane):
+        text = ",".join(f"[{lid},{pid}]" for lid in block for pid in plane.row(lid))
+        yield text if block.start == 0 else "," + text
+    yield "]" + tail
 
 
 def cmd_plane(args) -> int:
@@ -126,9 +146,11 @@ def cmd_plane(args) -> int:
         "flags": n_flags,
         "degree": args.q + 1,
     }
-    if args.flags:
-        body["flag_list"] = [[lid, pid] for lid in range(n_lines) for pid in plane.row(lid)]
-    _emit(args, canonical_json(envelope("plane", config, body)))
+    if not args.flags:
+        _emit(args, canonical_json(envelope("plane", config, body)))
+        return 0
+    body["flag_list"] = []
+    _emit_chunks(args, _flag_json_chunks(canonical_json(envelope("plane", config, body)), plane))
     return 0
 
 

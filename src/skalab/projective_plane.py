@@ -15,9 +15,10 @@ from the field tables.  `Plane` keeps the point ids of all flags in one
 flat `array('I')`, line after line, so flag i is (i // (q+1), rows[i]);
 its tuple list `flag_ids` and dict `flag_index` are built only on first
 read.  `flag_ids_at` decodes a single flag index with `line_points`, so
-`sample_flag` needs no enumeration.  Objects are built only when a caller
-asks for them, by `flag_from_ids`, which skips the canonicalization and
-incidence checks of the public constructors.  `plane_field` refuses, before
+`sample_flag` needs no enumeration, and `flag_index_of` encodes one in
+closed form.  Objects are built only when a caller asks for them, by
+`flag_from_ids`, which skips the canonicalization and incidence checks of
+the public constructors.  `plane_field` refuses, before
 any field table is built, a plane of more than `PLANE_MAX_FLAGS` flags;
 `enumerate_plane` calls it, and so do the `plane` and `audit` commands before
 any other work.
@@ -237,6 +238,28 @@ def flag_ids_at(spec: FieldSpec, index: int) -> tuple[int, int]:
         raise IndexError(f"flag index {index} out of range for PG(2,{q})")
     lid, k = divmod(index, q + 1)
     return lid, line_points(spec)(lid)[k]
+
+
+def flag_index_of(q: int, lid: int, pid: int) -> int:
+    """Index of the incident pair (line id, point id) in flag order; inverse
+    of `flag_ids_at`, in closed form.
+
+    The rank of pid on line lid follows the cases of `line_points`.  A line
+    with x2 != 0 lists its point (0:1:beta), of id <= q, first and then one
+    point (1:b:c) per block of q ids, b ascending; (0:1:0) and (1:b:0) with
+    b != 0 list (0:0:1) and then a run of q consecutive ids; (1:0:0) lists
+    ids 0..q.
+    """
+    if lid == 1:  # (0:1:0)
+        rank = pid - q if pid else 0
+    elif lid > q and not (lid - 1 - q) % q:  # (1:b:0)
+        if lid == 1 + q:  # (1:0:0)
+            rank = pid
+        else:
+            rank = 1 + (pid - 1 - q) % q if pid else 0
+    else:
+        rank = 0 if pid <= q else 1 + (pid - 1 - q) // q
+    return lid * (q + 1) + rank
 
 
 def flag_from_ids(spec: FieldSpec, lid: int, pid: int) -> Flag:

@@ -16,7 +16,9 @@ and the audit both call them.
 The transcript (m1, m2) is exactly uniformizing: for every transcript each
 key value is consistent with the same number of chart tuples, which
 `secrecy_audit` verifies by exhaustive enumeration, calling the step
-functions on every tuple and counting into a flat list.  Flags with h = 0
+functions and counting into a flat list.  No step reads t, so the audit
+evaluates each (f, r, g, h, s) once and counts it with weight p, one for
+each t: p^4(p-1) evaluations for the p^5(p-1) tuples.  Flags with h = 0
 cannot finish (h is not invertible) and are reported as degenerate rather
 than re-randomized; flags outside the chart (x0 = 0 or y2 = 0) are reported
 as chart_invalid.
@@ -266,6 +268,12 @@ def secrecy_audit(q: int) -> SecrecyAudit:
     For each transcript (m1, m2) the key histogram must be exactly flat:
     every key value f occurs (p-1)*p^2 times (g is pinned by (f, h, m2), h
     ranges over the p-1 nonzero values, r and t are free).
+
+    No step reads t: u' = g + f*h + r*s*u, m2 and Bob's key leave it out, so
+    the p tuples that differ only in t run the same evaluation.  Each
+    (f, r, g, h, s) is evaluated once and counted with weight p, which covers
+    all p^5(p-1) tuples with p^4(p-1) evaluations.  The loop order is that of
+    G^6 at t = 0, so a mismatch names the first failing tuple of G^6.
     """
     spec = field_for_size(q)
     if spec.degree != 2:
@@ -274,23 +282,23 @@ def secrecy_audit(q: int) -> SecrecyAudit:
     if p > AUDIT_MAX_P:
         raise TooLarge(f"exhaustive audit is capped at p <= {AUDIT_MAX_P}")
     u = spec.u
+    t = 0  # every t gives this evaluation; the weight p counts them all
     counts = [0] * p**3  # at (m1*p + m2)*p + key
     for f in range(p):
         for r in range(p):
             for g in range(p):
-                for t in range(p):
-                    for h in range(1, p):
-                        h_inv = pow(h, p - 2, p)
-                        for s in range(p):
-                            m1 = s  # Bob's round 1
-                            m2 = alice_m2(p, u, chart_u_prime(p, u, f, r, g, h, s), r, m1)
-                            key = bob_recover(p, g, h_inv, m2)
-                            if key != f:
-                                raise InvariantViolation(
-                                    f"key mismatch at (f, r, g, t, h, s) = "
-                                    f"{(f, r, g, t, h, s)}: {key} != {f}"
-                                )
-                            counts[(m1 * p + m2) * p + key] += 1
+                for h in range(1, p):
+                    h_inv = pow(h, p - 2, p)
+                    for s in range(p):
+                        m1 = s  # Bob's round 1
+                        m2 = alice_m2(p, u, chart_u_prime(p, u, f, r, g, h, s), r, m1)
+                        key = bob_recover(p, g, h_inv, m2)
+                        if key != f:
+                            raise InvariantViolation(
+                                f"key mismatch at (f, r, g, t, h, s) = "
+                                f"{(f, r, g, t, h, s)}: {key} != {f}"
+                            )
+                        counts[(m1 * p + m2) * p + key] += p
     histogram: dict[tuple[int, int], dict[int, int]] = {}
     for m1 in range(p):
         for m2 in range(p):

@@ -9,15 +9,18 @@ cover the whole plane.  Matrix (projective linear) maps already act
 transitively on flags, so field-automorphism twists are not needed and are
 not implemented.
 
-Maps are sampled and stored as `Elt` matrices, but they act on vertex ids:
-`Automorphism.index_form` gives both matrices as element indices, and
-`_image_ids` multiplies index triples through the field tables and returns
-the canonical ids of the images.  The cover scan sends, per map, the p^2+p+1
-Baer point ids and line ids to their image ids; each Baer flag (lid, pid)
-then maps to a flag index with one lookup.  The object-level `apply` runs on
-the same id path.  `COVER_MAX_WORK` bounds the work `build_cover` accepts:
-the flag images of the sampled maps plus the flags of the host plane, which
-the scan enumerates and marks.
+Maps are sampled and stored as matrices of element indices: `random_matrix`
+draws one, `det3` rejects it when singular, and the inverse transpose is
+the cofactor matrix over the determinant, all through the field tables.
+The `Elt` views `matrix` and `inverse_transpose` are decoded on first read.
+Maps act on vertex ids: `_image_ids` multiplies index triples through the
+tables and returns the canonical ids of the images.  The cover scan sends,
+per map, the p^2+p+1 Baer point ids and line ids to their image ids; each
+Baer flag (lid, pid) then maps to its flag index by the closed form
+`flag_index_of`, so the host plane is never enumerated.  The object-level
+`apply` runs on the same id path.  `COVER_MAX_WORK` bounds the work
+`build_cover` accepts: the flag images of the sampled maps plus the flags
+of the host plane, which the scan marks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .projective_plane import (
     enumerate_plane,
     flag_count,
     flag_from_ids,
+    flag_index_of,
+    line_points,
+    plane_field,
     vertex_indices,
 )
 
@@ -50,30 +56,27 @@ IndexMatrix = tuple[tuple[int, int, int], ...]
 COVER_MAX_WORK = 10_000_000
 
 
-def det3(m: Matrix) -> Elt:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+# (r1, r2) for r = 0, 1, 2: cofactor (r, c) of a 3x3 matrix is
+# m[r1][c1]*m[r2][c2] - m[r1][c2]*m[r2][c1], signs included
+_NEXT = ((1, 2), (2, 0), (0, 1))
 
 
-def _cofactor(m: Matrix) -> Matrix:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return (
-        (e * i - f * h, -(d * i - f * g), d * h - e * g),
-        (-(b * i - c * h), a * i - c * g, -(a * h - b * g)),
-        (b * f - c * e, -(a * f - c * d), a * e - b * d),
-    )
+def _cofactor_row(spec: FieldSpec, m: IndexMatrix, r: int) -> tuple[int, int, int]:
+    add, mul, neg, _ = spec.tables()
+    r1, r2 = _NEXT[r]
+    x, y = m[r1], m[r2]
+    return tuple(add[mul[x[c1]][y[c2]]][neg[mul[x[c2]][y[c1]]]] for c1, c2 in _NEXT)
 
 
-def _transpose(m: Matrix) -> Matrix:
+def det3(spec: FieldSpec, m: IndexMatrix) -> int:
+    """Determinant of a matrix of element indices, as an index: 0 iff singular."""
+    add, mul, _, _ = spec.tables()
+    (a, b, c), (c0, c1, c2) = m[0], _cofactor_row(spec, m, 0)
+    return add[add[mul[a][c0]][mul[b][c1]]][mul[c][c2]]
+
+
+def _transpose(m: IndexMatrix) -> IndexMatrix:
     return tuple(tuple(m[r][c] for r in range(3)) for c in range(3))
-
-
-def _scale(m: Matrix, s: Elt) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in m)
 
 
 def _image_ids(spec: FieldSpec, m: IndexMatrix, triples) -> list[int]:
@@ -91,30 +94,50 @@ def _image_ids(spec: FieldSpec, m: IndexMatrix, triples) -> list[int]:
 
 
 class Automorphism:
-    """Invertible projective-linear map with its cached inverse transpose."""
+    """Invertible projective-linear map with its cached inverse transpose.
 
-    __slots__ = ("spec", "matrix", "inverse_transpose")
+    Both matrices are kept as element indices; the `Elt` views `matrix` and
+    `inverse_transpose` are decoded on first read.
+    """
 
-    def __init__(self, matrix: Matrix):
-        self.spec = matrix[0][0].spec
-        self.matrix = matrix
-        det = det3(matrix)
-        if det.is_zero():
+    __slots__ = ("spec", "_index_form", "_elts")
+
+    def __init__(self, spec: FieldSpec, matrix: IndexMatrix):
+        det = det3(spec, matrix)
+        if not det:
             raise ValueError("singular matrix is not a plane automorphism")
-        det_inv = det.inv()
         # inverse = adj/det with adj = transpose(cofactor); so inv^T = cofactor/det
-        self.inverse_transpose = _scale(_cofactor(matrix), det_inv)
+        tables = spec.tables()
+        scale = tables.mul[tables.inv[det]]
+        inverse_transpose = tuple(
+            tuple(scale[x] for x in _cofactor_row(spec, matrix, r)) for r in range(3)
+        )
+        self.spec = spec
+        self._index_form = (matrix, inverse_transpose)
+        self._elts = None
+
+    def _decoded(self) -> tuple[Matrix, Matrix]:
+        if self._elts is None:
+            element = self.spec.element
+            self._elts = tuple(
+                tuple(tuple(map(element, row)) for row in m) for m in self._index_form
+            )
+        return self._elts
+
+    @property
+    def matrix(self) -> Matrix:
+        return self._decoded()[0]
+
+    @property
+    def inverse_transpose(self) -> Matrix:
+        return self._decoded()[1]
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(_transpose(self.inverse_transpose))
+        return Automorphism(self.spec, _transpose(self._index_form[1]))
 
     def index_form(self) -> tuple[IndexMatrix, IndexMatrix]:
         """The matrix and its inverse transpose as element indices."""
-        index = self.spec.index
-        return tuple(
-            tuple(tuple(index(x) for x in row) for row in m)
-            for m in (self.matrix, self.inverse_transpose)
-        )
+        return self._index_form
 
     def to_json_dict(self) -> dict:
         return {"matrix": [[format_elt(x) for x in row] for row in self.matrix]}
@@ -137,21 +160,23 @@ def apply(m: Automorphism, flag: Flag) -> Flag:
     return flag_from_ids(spec, lid, pid)
 
 
-def random_matrix(spec: FieldSpec, rng: random.Random) -> Matrix:
-    """Uniform 3x3 matrix over the field (possibly singular); row-major draws."""
+def random_matrix(spec: FieldSpec, rng: random.Random) -> IndexMatrix:
+    """Uniform 3x3 matrix of element indices (possibly singular).
+
+    Row-major draws of a0 and then, in GF(p^2), a1 of each entry a0 + a1*xi.
+    """
     p = spec.p
     entries = []
     for _ in range(9):
         a0 = rng.randrange(p)
-        a1 = rng.randrange(p) if spec.degree == 2 else 0
-        entries.append(Elt(spec, a0, a1))
+        entries.append(a0 * p + rng.randrange(p) if spec.degree == 2 else a0)
     return (tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9]))
 
 
 def _random_automorphism(spec: FieldSpec, rng: random.Random) -> Automorphism:
     while True:
         try:
-            return Automorphism(random_matrix(spec, rng))
+            return Automorphism(spec, random_matrix(spec, rng))
         except ValueError:  # singular draw
             continue
 
@@ -180,14 +205,17 @@ def baer_subplane(q: int) -> SubgraphQuery:
     return SubgraphQuery.of(ids, ids)
 
 
+def baer_flags(q: int) -> list[tuple[int, int]]:
+    """The (line id, point id) flags of the Baer subplane, in flag order."""
+    ids = sorted(baer_subplane(q).left)  # lines and points share the ids
+    baer, points = set(ids), line_points(field_for_size(q))
+    return [(lid, pid) for lid in ids for pid in points(lid) if pid in baer]
+
+
 def baer_flag_ids(plane: Plane) -> set[int]:
     """Flag indices of the Baer subplane inside the host plane."""
-    query = baer_subplane(plane.q)
-    return {
-        idx
-        for idx, (lid, pid) in enumerate(plane.flag_ids)
-        if lid in query.left and pid in query.right
-    }
+    q = plane.q
+    return {flag_index_of(q, lid, pid) for lid, pid in baer_flags(q)}
 
 
 def flag_transitivity_check(q: int) -> bool:
@@ -197,20 +225,14 @@ def flag_transitivity_check(q: int) -> bool:
     plane = enumerate_plane(q)
     spec = plane.spec
     base = plane.flag(0)
-    elements = list(spec.elements())
     orbit = set()
-    for m in _all_matrices(elements):
+    for values in itertools.product(range(q), repeat=9):
         try:
-            auto = Automorphism(m)
+            auto = Automorphism(spec, (values[0:3], values[3:6], values[6:9]))
         except ValueError:  # singular matrix
             continue
         orbit.add(plane.index_of(apply(auto, base)))
     return len(orbit) == len(plane.flag_ids)
-
-
-def _all_matrices(elements):
-    for values in itertools.product(elements, repeat=9):
-        yield (tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))
 
 
 @dataclass
@@ -258,16 +280,14 @@ def cover_with_maps(
     is in the forward image of the H0 flags, which is what gets enumerated
     (apply(m, .) is a bijection on flags, so each map covers exactly |H0|
     flags).  Each map sends the Baer point and line ids to their image ids,
-    and a Baer flag (lid, pid) to its image's flag index with one lookup;
+    and a Baer flag (lid, pid) to its image's flag index by `flag_index_of`;
     automorphisms preserve incidence, so the image needs no check.
     """
-    plane = enumerate_plane(q)
-    spec = plane.spec
-    flag_index = plane.flag_index
+    spec = plane_field(q)
     ids = sorted(baer_subplane(q).left)  # lines and points share the ids
     triples = [vertex_indices(spec, vid) for vid in ids]
-    base = [plane.flag_ids[i] for i in sorted(baer_flag_ids(plane))]
-    covered = bytearray(len(plane.flag_ids))
+    base = baer_flags(q)
+    covered = bytearray(flag_count(q))
     per_map = []
     for m in maps:
         if m.spec != spec:
@@ -277,7 +297,7 @@ def cover_with_maps(
         ln = dict(zip(ids, _image_ids(spec, inverse_transpose, triples)))
 
         def apply(lid, pid):  # per-flag image step; profiles count its calls
-            return flag_index[(ln[lid], pt[pid])]
+            return flag_index_of(q, ln[lid], pt[pid])
 
         hits = {apply(lid, pid) for lid, pid in base}
         for idx in hits:

@@ -5,8 +5,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden_stdout.py
 
-`test_golden_stdout.py` replays every entry in process and compares. A change
-that regenerates the file names each entry that changed, and why, in
+`test_golden_stdout.py` replays every entry in process and compares. The
+`halve` entries read the small files of `HALVE_FILES` by relative path, so
+both scripts run them from a directory that `write_halve_inputs` filled. A
+change that regenerates the file names each entry that changed, and why, in
 CHANGES.md.
 """
 
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from skalab.cli import main
@@ -25,6 +28,30 @@ GOLDEN = Path(__file__).resolve().parent / "golden_stdout.json"
 
 PLANE_QS = (2, 3, 4, 5, 7, 9, 25, 49)
 BAER_QS = (4, 9, 25, 49)
+SEEDS = ("0", "1", "2")
+# audited, then refused: over AUDIT_MAX_P, a prime and a non-prime-power q
+SKA_AUDIT_QS = ("4", "9", "25", "49", "121", "169", "289", "7", "6")
+# per q, the first seeds whose sessions end chart_invalid and degenerate_h
+# (seeds 0-2 all end ok)
+SKA_RUN_SEEDS = {"9": ("8", "4"), "25": ("5", "10"), "49": ("31", "6")}
+
+# `halve` inputs, written by `write_halve_inputs`: a linear ramp, word text,
+# and two short random strings whose zlib image misses the target
+HALVE_FILES = {
+    "ramp_x.bin": bytes(range(16)),
+    "ramp_y.bin": bytes(range(16, 32)),
+    "text_x.txt": b"plane line flag field prime baer cover",
+    "text_y.txt": b"alice bob round key chart audit seed",
+    "miss_x.bin": b"\xd2\xad",
+    "miss_y.bin": b"rd\x7f",
+    "empty.bin": b"",
+}
+HALVE_PAIRS = (
+    ("ramp_x.bin", "ramp_y.bin"),
+    ("text_x.txt", "text_y.txt"),
+    ("miss_x.bin", "miss_y.bin"),
+    ("text_x.txt", "text_x.txt"),
+)
 
 
 def command_lines() -> list[list[str]]:
@@ -51,7 +78,30 @@ def command_lines() -> list[list[str]]:
         argvs.append(["audit", "--q", q, "--baer"])
         argvs.append(["audit", "--q", q, "--a", "2", "--b", "2"])
     argvs.append(["plane", "--q", "173", "--flags", "--format", "csv"])
+    for q in SKA_AUDIT_QS:
+        argvs.append(["ska", "audit", "--q", q])
+    for q, seeds in SKA_RUN_SEEDS.items():
+        for seed in SEEDS + seeds:
+            argvs.append(["ska", "run", "--q", q, "--seed", seed])
+    argvs.append(["ska", "run", "--q", "7"])
+    for seed in SEEDS:
+        argvs.append(["cover", "--q", "9", "--c", "3", "--seed", seed])
+    argvs.append(["cover", "--q", "9", "--c", "0.05"])  # undersampled
+    argvs.append(["cover", "--q", "25", "--c", "0.2", "--seed", "1"])  # undersampled
+    argvs.append(["cover", "--q", "25", "--c", "1", "--seed", "369617"])
+    argvs.append(["cover", "--q", "7"])
+    for estimator in ("zlib", "ramp", "prefix-gap"):
+        for x, y in HALVE_PAIRS:
+            argvs.append(["halve", "--estimator", estimator, "--x-file", x, "--y-file", y])
+    argvs.append(["halve", "--x-file", "empty.bin", "--y-file", "ramp_y.bin"])
+    argvs.append(["halve", "--x-file", "absent.bin", "--y-file", "ramp_y.bin"])
     return argvs
+
+
+def write_halve_inputs(directory) -> None:
+    """Write the `halve` input files into `directory`."""
+    for name, data in HALVE_FILES.items():
+        (Path(directory) / name).write_bytes(data)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -68,9 +118,16 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main_() -> None:
     os.environ.pop("SKALAB_SEED", None)
     entries = []
-    for argv in command_lines():
-        code, digest = run(argv)
-        entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as inputs:
+        write_halve_inputs(inputs)
+        os.chdir(inputs)
+        try:
+            for argv in command_lines():
+                code, digest = run(argv)
+                entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        finally:
+            os.chdir(cwd)
     GOLDEN.write_text(json.dumps({"entries": entries}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {GOLDEN}")
 

@@ -20,9 +20,11 @@ from skalab.errors import (
     ChartInvalid,
     DegenerateH,
     EstimatorFailure,
+    InvariantViolation,
     NotCovered,
     SkalabError,
     TargetOnBoundary,
+    TooLarge,
     UnsupportedField,
 )
 from skalab.finite_field import field_for_size, parse_elt
@@ -38,18 +40,23 @@ from skalab.projective_plane import (
     Flag,
     ProjLine,
     ProjPoint,
+    chart_u_prime,
     enumerate_plane,
     vertex_triple,
 )
 from skalab.ska_protocol import (
+    AUDIT_MAX_P,
     AliceState,
     BobState,
+    SecrecyAudit,
     SessionResult,
+    alice_m2,
     alice_round2,
     bob_key,
+    bob_recover,
     bob_round1,
 )
-from skalab.subplane_cover import Automorphism, baer_flag_ids
+from skalab.subplane_cover import Automorphism, baer_subplane
 
 
 # -- field resolution by scanning ----------------------------------------------
@@ -154,8 +161,64 @@ def baer_subplane_scan(q: int) -> SubgraphQuery:
 # -- covering scan on objects ----------------------------------------------------
 
 def identity_automorphism(spec) -> Automorphism:
-    one, zero = spec.one(), spec.zero()
-    return Automorphism(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
+    one = spec.index(spec.one())
+    return Automorphism(spec, ((one, 0, 0), (0, one, 0), (0, 0, one)))
+
+
+def baer_flag_ids_scan(plane) -> set[int]:
+    """Baer flag indices by scanning every flag of the plane."""
+    query = baer_subplane(plane.q)
+    return {
+        idx
+        for idx, (lid, pid) in enumerate(plane.flag_ids)
+        if lid in query.left and pid in query.right
+    }
+
+
+def det3_elt(m):
+    """Determinant of an `Elt` matrix by `Elt` arithmetic."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def inverse_transpose_elt(m):
+    """cofactor(m) / det(m) by `Elt` arithmetic: the inverse transpose."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    cofactor = (
+        (e * i - f * h, -(d * i - f * g), d * h - e * g),
+        (-(b * i - c * h), a * i - c * g, -(a * h - b * g)),
+        (b * f - c * e, -(a * f - c * d), a * e - b * d),
+    )
+    det_inv = det3_elt(m).inv()
+    return tuple(tuple(det_inv * x for x in row) for row in cofactor)
+
+
+def random_matrix_elt(spec, rng: random.Random):
+    """Uniform 3x3 `Elt` matrix (possibly singular); row-major draws."""
+    p = spec.p
+    entries = []
+    for _ in range(9):
+        a0 = rng.randrange(p)
+        a1 = rng.randrange(p) if spec.degree == 2 else 0
+        entries.append(spec.elt(a0, a1))
+    return (tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9]))
+
+
+def sample_matrices_elt(q: int, count: int, seed: int) -> list[tuple]:
+    """(matrix, inverse transpose) of `count` maps drawn by one seeded stream
+    of `Elt` matrices, rejecting those whose `Elt` determinant is zero."""
+    spec = field_for_size(q)
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        m = random_matrix_elt(spec, rng)
+        if not det3_elt(m).is_zero():
+            maps.append((m, inverse_transpose_elt(m)))
+    return maps
 
 
 def _mat_vec(m, v):
@@ -172,7 +235,7 @@ def apply_elt(m, flag):
 def cover_objects(q: int, maps) -> tuple[list[bool], list[int]]:
     """(covered, per_map_counts) from one object image per Baer flag and map."""
     plane = enumerate_plane(q)
-    base = [plane.flag(i) for i in sorted(baer_flag_ids(plane))]
+    base = [plane.flag(i) for i in sorted(baer_flag_ids_scan(plane))]
     covered = [False] * len(plane.flag_ids)
     per_map = []
     for m in maps:
@@ -280,6 +343,65 @@ def secrecy_histogram_objects(q: int) -> dict[tuple[int, int], dict[int, int]]:
         per_key = histogram.setdefault((m1, m2), {})
         per_key[key] = per_key.get(key, 0) + 1
     return histogram
+
+
+def secrecy_audit_sixfold(q: int) -> SecrecyAudit:
+    """The secrecy audit as one evaluation per tuple of G^6, t included.
+
+    Every step function is evaluated p times with the same arguments, once
+    per t, and each tuple counts 1.
+    """
+    spec = field_for_size(q)
+    if spec.degree != 2:
+        raise UnsupportedField("the audit needs q = p^2")
+    p = spec.p
+    if p > AUDIT_MAX_P:
+        raise TooLarge(f"exhaustive audit is capped at p <= {AUDIT_MAX_P}")
+    u = spec.u
+    counts = [0] * p**3  # at (m1*p + m2)*p + key
+    for f in range(p):
+        for r in range(p):
+            for g in range(p):
+                for t in range(p):
+                    for h in range(1, p):
+                        h_inv = pow(h, p - 2, p)
+                        for s in range(p):
+                            m1 = s  # Bob's round 1
+                            m2 = alice_m2(p, u, chart_u_prime(p, u, f, r, g, h, s), r, m1)
+                            key = bob_recover(p, g, h_inv, m2)
+                            if key != f:
+                                raise InvariantViolation(
+                                    f"key mismatch at (f, r, g, t, h, s) = "
+                                    f"{(f, r, g, t, h, s)}: {key} != {f}"
+                                )
+                            counts[(m1 * p + m2) * p + key] += 1
+    histogram: dict[tuple[int, int], dict[int, int]] = {}
+    for m1 in range(p):
+        for m2 in range(p):
+            row = (m1 * p + m2) * p
+            per_key = {k: counts[row + k] for k in range(p) if counts[row + k]}
+            if per_key:
+                histogram[(m1, m2)] = per_key
+    expected = (p - 1) * p * p
+    key_counts = [
+        per_key.get(k, 0)
+        for per_key in histogram.values()
+        for k in range(p)
+    ]
+    uniform = (
+        len(histogram) == p * p
+        and all(c == expected for c in key_counts)
+    )
+    return SecrecyAudit(
+        q=q,
+        p=p,
+        transcripts=len(histogram),
+        expected_per_key=expected,
+        uniform=uniform,
+        min_count=min(key_counts),
+        max_count=max(key_counts),
+        histogram=histogram,
+    )
 
 
 # -- incidence graph ------------------------------------------------------------

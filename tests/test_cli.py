@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -87,7 +88,7 @@ class TestPlane:
             return render_csv(header, rows)
 
         monkeypatch.setattr(reporting, "render_csv", counted)
-        monkeypatch.setattr(cli_mod, "FLAG_CSV_CHUNK_ROWS", 3 * 14)
+        monkeypatch.setattr(cli_mod, "FLAG_CHUNK_ROWS", 3 * 14)
         monkeypatch.delenv("SKALAB_SEED", raising=False)
         assert main(["plane", "--q", "13", "--format", "csv", "--flags"]) == 0
         assert chunks == [3 * 14] * 61
@@ -95,6 +96,24 @@ class TestPlane:
         assert lines[0] == "q,line_id,point_id" and lines[-1] == ""
         plane = projective_plane.enumerate_plane(13)
         assert lines[1:-1] == [f"13,{lid},{pid}" for lid, pid in plane.flag_ids]
+
+    @pytest.mark.parametrize("q, rows", [(2, 3 * 3), (13, 3 * 14), (13, 8192)])
+    def test_flag_json_chunks_join_to_the_whole_report(self, q, rows, monkeypatch):
+        # the streamed report equals the canonical JSON of the whole flag list
+        import skalab.cli as cli_mod
+        from skalab.reporting import canonical_json
+
+        writes = []
+        monkeypatch.setattr(cli_mod, "FLAG_CHUNK_ROWS", rows)
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        assert main(["plane", "--q", str(q), "--flags"]) == 0
+        plane = projective_plane.enumerate_plane(q)
+        n_lines = plane.counts()[1]
+        assert len(writes) == 2 + math.ceil(n_lines / max(1, rows // (q + 1)))
+        data = json.loads("".join(writes))
+        assert data["flag_list"] == [list(pair) for pair in plane.flag_ids]
+        assert "".join(writes) == canonical_json(data)
 
     def test_byte_identical_runs(self):
         a = run_cli("plane", "--q", "9", "--format", "json")
@@ -304,6 +323,7 @@ class TestCover:
             raise AssertionError("sampling or enumeration started")
 
         monkeypatch.setattr(cover_mod, "sample_automorphisms", no_work)
+        monkeypatch.setattr(cover_mod, "baer_flags", no_work)
         monkeypatch.setattr(cover_mod, "enumerate_plane", no_work)
         code = main(["cover", *argv])
         out, err = capsys.readouterr()

@@ -8,8 +8,9 @@ import threading
 import pytest
 
 import oracles
-from skalab import incidence_graph
-from skalab.errors import NotCovered, SkalabError, TargetOnBoundary, TooLarge
+from skalab import incidence_graph, ska_protocol
+from skalab.cli import main
+from skalab.errors import InvariantViolation, NotCovered, SkalabError, TargetOnBoundary, TooLarge
 from skalab.finite_field import (
     PRIME_TEST_MAX,
     _is_irreducible,
@@ -46,6 +47,7 @@ from skalab.projective_plane import (
     chart_v_prime,
     enumerate_plane,
     flag_ids_at,
+    flag_index_of,
     sample_flag,
     to_chart,
     vertex_id,
@@ -54,6 +56,8 @@ from skalab.projective_plane import (
 from skalab.ska_protocol import alice_m2, run_session, secrecy_audit
 from skalab.subplane_cover import (
     apply,
+    baer_flag_ids,
+    baer_flags,
     baer_subplane,
     cover_sample_count,
     cover_with_maps,
@@ -193,6 +197,34 @@ class TestCoverScan:
         family = cover_with_maps(q, maps)
         assert (family.covered, family.per_map_counts) == oracles.cover_objects(q, maps)
 
+    @pytest.mark.parametrize("q", SUPPORTED_UP_TO_49)
+    def test_flag_index_on_every_flag(self, q):
+        rows = enumerate_plane(q).rows
+        k = q + 1
+        assert [flag_index_of(q, i // k, pid) for i, pid in enumerate(rows)] == list(range(len(rows)))
+
+    @pytest.mark.parametrize("q", (4, 9, 25, 49))
+    def test_baer_flags_match_scan(self, q):
+        plane = enumerate_plane(q)
+        scanned = oracles.baer_flag_ids_scan(plane)
+        assert baer_flag_ids(plane) == scanned
+        assert baer_flags(q) == [plane.flag_ids[i] for i in sorted(scanned)]
+
+    @pytest.mark.parametrize("q, count, seed", [
+        (3, 60, 0), (4, 60, 1), (5, 60, 2), (9, 200, 0), (25, 1218, 369617), (49, 60, 3),
+    ])
+    def test_sampled_maps_match_elt_stream(self, q, count, seed):
+        # same rejection stream; both matrices equal the `Elt` determinant
+        # and cofactor computation, as indices and as decoded `Elt` views
+        spec = field_for_size(q)
+        maps = sample_automorphisms(q, count, seed)
+        want = oracles.sample_matrices_elt(q, count, seed)
+        assert [(m.matrix, m.inverse_transpose) for m in maps] == want
+        assert [m.index_form() for m in maps] == [
+            tuple(tuple(tuple(map(spec.index, row)) for row in mat) for mat in pair)
+            for pair in want
+        ]
+
     @pytest.mark.parametrize("q", (2, 3, 4, 9, 25))
     def test_apply_matches_elt_form(self, q):
         plane = enumerate_plane(q)
@@ -238,6 +270,33 @@ class TestKeyAgreement:
     @pytest.mark.parametrize("q", (4, 9, 25))
     def test_audit_histogram_matches_object_loop(self, q):
         assert secrecy_audit(q).histogram == oracles.secrecy_histogram_objects(q)
+
+    @pytest.mark.parametrize("q", (4, 9, 25, 49))
+    def test_audit_matches_sixfold_loop(self, q):
+        # every field and the whole histogram, from one evaluation per tuple
+        assert secrecy_audit(q) == oracles.secrecy_audit_sixfold(q)
+
+    @pytest.mark.parametrize("q", (9, 25))
+    def test_one_wrong_round_2_names_the_oracles_tuple(self, q, monkeypatch, capsys):
+        # Alice answers one off for a single argument tuple (u', r, m1); its
+        # first chart tuple in G^6 order has r, g, h and s nonzero
+        honest = ska_protocol.alice_m2
+
+        def wrong_once(p, u, u_p, r, m1):
+            m2 = honest(p, u, u_p, r, m1)
+            return (m2 + 1) % p if (u_p, r, m1) == (2, 1, 2) else m2
+
+        monkeypatch.setattr(ska_protocol, "alice_m2", wrong_once)
+        monkeypatch.setattr(oracles, "alice_m2", wrong_once)
+        with pytest.raises(InvariantViolation) as want:
+            oracles.secrecy_audit_sixfold(q)
+        with pytest.raises(InvariantViolation) as got:
+            secrecy_audit(q)
+        assert str(got.value) == str(want.value)
+        assert ", 0, " in str(want.value)  # t = 0 comes first; g, h, s are not 0
+        assert main(["ska", "audit", "--q", str(q)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"skalab: invariant violation: {want.value}\n")
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
     def test_alice_m2_matches_elt_form(self, p):

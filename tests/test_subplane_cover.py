@@ -4,9 +4,9 @@ import random
 import pytest
 
 import oracles
-from skalab import subplane_cover
+from skalab import projective_plane, subplane_cover
 from skalab.errors import SpecMismatch, TooLarge, UnsupportedField
-from skalab.finite_field import build_field_spec, field_for_size
+from skalab.finite_field import Elt, build_field_spec, field_for_size
 from skalab.incidence_graph import build_plane_graph
 from skalab.projective_plane import enumerate_plane, flag_count, incident
 from skalab.subplane_cover import (
@@ -110,8 +110,11 @@ class TestApply:
 
 class TestRandomAutomorphism:
     def test_never_singular(self):
+        spec = field_for_size(9)
         for seed in range(50):
-            assert not det3(sample_automorphisms(9, 1, seed=seed)[0].matrix).is_zero()
+            m = sample_automorphisms(9, 1, seed=seed)[0]
+            assert det3(spec, m.index_form()[0]) != 0
+            assert not oracles.det3_elt(m.matrix).is_zero()
 
     def test_deterministic(self):
         a = sample_automorphisms(9, 1, seed=4)[0]
@@ -119,6 +122,12 @@ class TestRandomAutomorphism:
         assert a.matrix == b.matrix
 
     def test_one_determinant_per_draw(self, monkeypatch):
+        # det3 is the determinant on element indices, the only one a draw
+        # computes; the draws do no `Elt` arithmetic at all
+        for q in (3, 9):
+            field_for_size(q).tables()
+        for op in ("__add__", "__sub__", "__neg__", "__mul__", "inv"):
+            monkeypatch.setattr(Elt, op, None)
         calls = {"det3": 0, "random_matrix": 0}
 
         def counted(name, fn):
@@ -129,9 +138,11 @@ class TestRandomAutomorphism:
 
         for name, fn in (("det3", det3), ("random_matrix", random_matrix)):
             monkeypatch.setattr(subplane_cover, name, counted(name, fn))
-        maps = sample_automorphisms(3, 200, seed=0)
-        assert len(maps) == 200 < calls["random_matrix"]  # some draws were singular
-        assert calls["det3"] == calls["random_matrix"]
+        for q in (3, 9):
+            calls.update(det3=0, random_matrix=0)
+            maps = sample_automorphisms(q, 200, seed=0)
+            assert len(maps) == 200 < calls["random_matrix"]  # some draws were singular
+            assert calls["det3"] == calls["random_matrix"]
 
     def test_acceptance_probability_q3(self):
         # fraction of uniform raw matrices that are invertible, vs |GL(3,3)|/3^9
@@ -139,7 +150,7 @@ class TestRandomAutomorphism:
         invertible = sum(
             1
             for seed in range(10_000)
-            if not det3(random_matrix(spec, random.Random(seed))).is_zero()
+            if det3(spec, random_matrix(spec, random.Random(seed)))
         )
         q = 3
         expected = (q**3 - 1) * (q**3 - q) * (q**3 - q**2) / q**9
@@ -193,6 +204,17 @@ class TestBuildCover:
     def test_undersampled_reports_partial_coverage(self):
         family = build_cover(9, c=0.01, seed=0)
         assert family.coverage_fraction < 1.0
+
+    def test_scan_enumerates_no_plane(self, monkeypatch):
+        # the Baer flags and every image's flag index are closed-form
+        def refuse(*args):
+            raise AssertionError("plane enumerated")
+
+        monkeypatch.setattr(subplane_cover, "enumerate_plane", refuse)
+        monkeypatch.setattr(projective_plane, "flag_rows", refuse)
+        family = build_cover(25, c=0.05, seed=0)
+        assert set(family.per_map_counts) == {186}
+        assert len(family.covered) == flag_count(25)
 
     def test_identity_only_family(self):
         ident = oracles.identity_automorphism(field_for_size(9))
