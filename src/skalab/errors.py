@@ -41,10 +41,6 @@ class SizeTooLarge(SkalabError):
     """Requested subset size exceeds the host side."""
 
 
-class TooManyEdges(SkalabError):
-    """Requested edge count exceeds the bipartite capacity."""
-
-
 class TooLarge(SkalabError):
     """Requested work would exceed the stated budget."""
 

@@ -12,22 +12,22 @@ threads.
 
 Bulk code works on element indices instead: a0*p + a1 in GF(p^2) and a0 in
 GF(p), which is the order of `FieldSpec.elements()`.  `FieldSpec.tables()`
-holds the add/mul/neg/inv tables over those indices; they are derived from
-`Elt` arithmetic on first use, so `Elt` stays the one definition of the field.
-Tables of more than `TABLE_MAX_ENTRIES` (q^2) entries are refused unbuilt.
+holds the add/mul/neg/inv tables over those indices, built on first use
+from residue arithmetic on the indices, not from `Elt` objects.  Tables of
+more than `TABLE_MAX_ENTRIES` (q^2) entries are refused unbuilt.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge, UnsupportedField
 
-# Most entries one add or mul table may hold: q^2.  GF(961) has 923,521
-# (`ska run --q 961`: about 2 s and 70 MB on a 2-vCPU host); GF(1009) is refused.
+# Most entries one add or mul table may hold: q^2.  GF(961) has 923,521;
+# GF(1009) is refused.
 TABLE_MAX_ENTRIES = 1_000_000
 
 
@@ -119,7 +119,7 @@ class FieldSpec:
         return Elt(self, index, 0)
 
     def tables(self) -> FieldTables:
-        """Index-level add/mul/neg/inv tables, built from `Elt` on first use."""
+        """Index-level add/mul/neg/inv tables, built on first use."""
         if self._tables is None:
             q = self.size
             if q * q > TABLE_MAX_ENTRIES:
@@ -127,13 +127,7 @@ class FieldSpec:
                     f"GF({q}) tables need {q * q:,} entries each; "
                     f"the table budget is {TABLE_MAX_ENTRIES:,}"
                 )
-            elts = list(self.elements())
-            index = self.index
-            add = [[index(a + b) for b in elts] for a in elts]
-            mul = [[index(a * b) for b in elts] for a in elts]
-            neg = [index(-a) for a in elts]
-            inv = [None] + [index(a.inv()) for a in elts[1:]]
-            self._tables = FieldTables(add, mul, neg, inv)
+            self._tables = _index_tables(self.p, self.degree, self.u, self.v)
         return self._tables
 
     def to_json_dict(self) -> dict:
@@ -157,6 +151,39 @@ class FieldSpec:
         if self.degree == 1:
             return f"FieldSpec(p={self.p}, degree=1)"
         return f"FieldSpec(p={self.p}, degree=2, u={self.u}, v={self.v})"
+
+
+def _index_tables(p: int, degree: int, u: int, v: int) -> FieldTables:
+    """The tables of GF(p) or GF(p^2) with xi^2 = u + v*xi, from residues.
+
+    Every entry is one of the int objects of `range(q)`, so a table costs
+    one pointer per entry.  In GF(p^2) an add row is p blocks of p indices,
+    each a rotation of one block of `range(q)`; b*a = b0*a + b1*(a*xi),
+    where a*xi = a1*u + (a0 + a1*v)*xi, so a mul row reads the add table;
+    inv[a] is the b in a's mul row with a*b = 1.
+    """
+    q = p**degree
+    ids = list(range(q))
+    if degree == 1:
+        add = [ids[a:] + ids[:a] for a in ids]
+        mul = [[ids[a * b % p] for b in ids] for a in ids]
+        neg = [ids[-a % p] for a in ids]
+    else:
+        rotated = [[ids[h * p + r:(h + 1) * p] + ids[h * p:h * p + r] for r in range(p)]
+                   for h in range(p)]  # rotated[h][r][s] = h*p + (r + s) % p
+        add = [list(chain.from_iterable(rotated[(a0 + b0) % p][a1] for b0 in range(p)))
+               for a0 in range(p) for a1 in range(p)]
+        mul = []
+        for a0 in range(p):
+            for a1 in range(p):
+                c0, c1 = a1 * u % p, (a0 + a1 * v) % p  # a*xi
+                first = [b * a0 % p * p + b * a1 % p for b in range(p)]
+                second = [b * c0 % p * p + b * c1 % p for b in range(p)]
+                mul.append([row[k] for row in map(add.__getitem__, first) for k in second])
+        neg = [ids[-a0 % p * p + -a1 % p] for a0 in range(p) for a1 in range(p)]
+    one = p ** (degree - 1)  # the index of 1
+    inv = [None] + [ids[mul[a].index(one)] for a in ids[1:]]
+    return FieldTables(add, mul, neg, inv)
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +229,6 @@ class Elt:
         self.spec = spec
         self.a0 = a0
         self.a1 = a1
-
-    def decompose(self) -> tuple[int, int]:
-        """Residues (a0, a1) on the {1, xi} basis; a1 = 0 in prime fields."""
-        return (self.a0, self.a1)
 
     def is_zero(self) -> bool:
         return self.a0 == 0 and self.a1 == 0
@@ -299,19 +322,3 @@ def format_elt(a: Elt) -> str:
         return xi_part
     return f"{a.a0}+{xi_part}"
 
-
-_ELT_RE = re.compile(r"^(?:(\d+)|(?:(\d+)\+)?(\d*)x)$")
-
-
-def parse_elt(spec: FieldSpec, text: str) -> Elt:
-    """Parse the textual element syntax: '2', 'x', '2x', '1+2x', ..."""
-    s = text.strip().replace(" ", "")
-    m = _ELT_RE.match(s)
-    if not m:
-        raise ValueError(f"malformed element literal {text!r}")
-    plain, a0_str, a1_str = m.groups()
-    if plain is not None:
-        return spec.elt(int(plain))
-    a0 = int(a0_str) if a0_str else 0
-    a1 = int(a1_str) if a1_str else 1
-    return spec.elt(a0, a1)

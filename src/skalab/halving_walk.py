@@ -6,15 +6,17 @@ the grid assigns to each integer node (alpha, beta) the value pair
     ( est(x | <x[:alpha], y[:beta]>),  est(y | <x[:alpha], y[:beta]>) )
 
 with the condition encoded as a length-prefixed pair so prefix splits are
-unambiguous.  Each unit cell is split along the (i,j)->(i+1,j+1) diagonal and
-the map is extended barycentrically, making the boundary image a polyline
-whose winding number around a target is counted by the crossing rule
-(Hormann and Agathos 2001; domain boundary traversed counterclockwise).
+unambiguous.  An estimator that reads only the two prefix lengths sets
+`lengths_only` and is passed the pair (alpha, beta) instead.  Each unit
+cell is split along the (i,j)->(i+1,j+1) diagonal and the map is extended
+barycentrically, making the boundary image a polyline whose winding number
+around a target is counted by the crossing rule (Hormann and Agathos 2001;
+domain boundary traversed counterclockwise).
 Nonzero winding guarantees a triangle whose image contains the target; the
 returned node is the vertex of that triangle whose image lies nearest it.
 
 The predicates are exact: finite floats are dyadic rationals, so the values
-a predicate reads and the target are scaled by one power of two to integers,
+a predicate reads and the target are scaled by a power of two to integers,
 and each test is the sign of an integer cross product (Shewchuk 1997).  The
 target is on the boundary only when it lies on a boundary segment, and in a
 non-degenerate triangle image when it lies inside it or on its edges.
@@ -24,7 +26,13 @@ The shipped default backs the estimate with a general-purpose compressor;
 its Lipschitz constant is measured from the grid, never assumed, and
 `halve` makes no claim beyond the reported numbers.
 
-The grid stores its two components as flat float arrays, 16 B per node.
+`halve` reads the grid in one sweep over its columns, alpha = 0 .. |x|,
+holding two at a time: it keeps the Lipschitz maximum, the four boundary
+edges and the first triangle whose image holds the target, and counts the
+winding number from the stored boundary at the end, in O(|x| + |y|) memory.
+`build_grid` stores the same columns as flat float arrays, 16 B per node;
+the queries on a stored grid (`measured_lipschitz`, `winding_number`,
+`find_preimage`) run the same per-column steps over its columns.
 `HALVE_MAX_WORK` bounds the estimator calls `halve` accepts,
 2(|x|+1)(|y|+1) + 2, and `HALVE_MAX_ZLIB_BYTES` the bytes the `zlib`
 estimator compresses, `CompressionEstimator.halve_bytes`.
@@ -45,6 +53,7 @@ import struct
 import threading
 import zlib
 from array import array
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, mul, sub
@@ -68,14 +77,11 @@ def pair_condition(x_prefix: bytes, y_prefix: bytes) -> bytes:
     return struct.pack(">I", len(x_prefix)) + x_prefix + y_prefix
 
 
-def split_condition(condition: bytes) -> tuple[bytes, bytes]:
-    """Inverse of pair_condition; the empty condition splits to two empties."""
-    n, _ = _split_lengths(condition)
-    return condition[4:4 + n], condition[4 + n:]
-
-
-def _split_lengths(condition: bytes) -> tuple[int, int]:
-    """Lengths of the two parts of a length-prefixed pair, without slicing."""
+def _split_lengths(condition) -> tuple[int, int]:
+    """Lengths of the two parts of a length-prefixed pair, without slicing;
+    an (alpha, beta) pair is returned unchanged."""
+    if type(condition) is tuple:
+        return condition
     if condition == b"":
         return 0, 0
     if len(condition) < 4:
@@ -93,9 +99,13 @@ class ComplexityEstimator:
     Subclasses implement est(target, condition) -> non-negative float and
     declare a lipschitz_bound; the declared bound is checked against the
     measured grid increments and any violation is reported, not raised.
+    One that reads only the prefix lengths sets `lengths_only`: the grid
+    then passes each node's condition as the pair (alpha, beta), not as
+    bytes.
     """
 
     lipschitz_bound: float = float("inf")
+    lengths_only: bool = False
 
     def est(self, target: bytes, condition: bytes) -> float:
         raise NotImplementedError
@@ -169,6 +179,7 @@ class RampEstimator(ComplexityEstimator):
     """Synthetic fixture: v1 = max(0, 2|x| - alpha - beta/2) and symmetrically."""
 
     lipschitz_bound = 1.0
+    lengths_only = True
 
     def __init__(self, x: bytes, y: bytes):
         self.x = x
@@ -187,6 +198,7 @@ class PrefixGapEstimator(ComplexityEstimator):
     """Synthetic fixture: est(x|z) = |x| - (length of x's prefix inside z)."""
 
     lipschitz_bound = 1.0
+    lengths_only = True
 
     def __init__(self, x: bytes, y: bytes):
         self.x = x
@@ -251,6 +263,12 @@ class GridMap:
         k = alpha * (self.height + 1) + beta
         return (self._v1[k], self._v2[k])
 
+    def columns(self):
+        """Each column's two components, alpha = 0 .. width, as array copies."""
+        stride = self.height + 1
+        for start in range(0, len(self._v1), stride):
+            yield self._v1[start:start + stride], self._v2[start:start + stride]
+
 
 class _OddColumnPrefetch:
     """A helper thread that runs `est.prefetch` on the odd columns, in order.
@@ -305,16 +323,20 @@ class _OddColumnPrefetch:
         self._est.memo = {}
 
 
-def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
-    """Evaluate the estimator at every prefix pair; estimator errors carry
-    the node coordinates.  Raises TooLarge before the first estimator call
-    when `halve` on (x, y) would exceed `HALVE_MAX_WORK` estimator calls or,
-    for the `zlib` estimator, `HALVE_MAX_ZLIB_BYTES` compressed bytes.
+def grid_columns(x: bytes, y: bytes, est: ComplexityEstimator):
+    """Each grid column's two components, alpha = 0 .. |x|, as float arrays.
+
+    Raises TooLarge at once, before any estimator call, when `halve` on
+    (x, y) would exceed `HALVE_MAX_WORK` estimator calls or, for the `zlib`
+    estimator, `HALVE_MAX_ZLIB_BYTES` compressed bytes.  The returned
+    generator estimates each column as it is read; estimator errors and
+    invalid values raise EstimatorFailure with the node coordinates.
 
     When `est` has `prefetch` and more than one CPU is available, a helper
     thread prefetches the odd columns and each one's lengths are installed
-    as `est.memo` while the column is computed; the helper is joined before
-    this function returns or raises."""
+    as `est.memo` while the column is estimated.  The helper is joined when
+    the columns run out, when estimating one raises, or when the generator
+    is closed, so a caller that stops reading early closes it."""
     if len(x) < 1 or len(y) < 1:
         raise ValueError("both strings must be nonempty")
     work = 2 * (len(x) + 1) * (len(y) + 1) + 2
@@ -330,11 +352,14 @@ def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
                 f"halve on {len(x)} + {len(y)} bytes compresses {fed} bytes; "
                 f"the zlib budget is {HALVE_MAX_ZLIB_BYTES}"
             )
+    return _estimated_columns(x, y, est)
+
+
+def _estimated_columns(x: bytes, y: bytes, est: ComplexityEstimator):
     stride = len(y) + 1
-    first = array("d", [0.0]) * ((len(x) + 1) * stride)
-    second = array("d", [0.0]) * len(first)
-    isfinite = math.isfinite
-    k = 0
+    estimate = est.est
+    lengths_only = getattr(est, "lengths_only", False)
+    inf = math.inf
     helper = None
     if hasattr(est, "prefetch") and (os.cpu_count() or 1) > 1:
         helper = _OddColumnPrefetch(x, y, est)
@@ -342,40 +367,154 @@ def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
         for alpha in range(len(x) + 1):
             if helper is not None:
                 helper.install(alpha)
-            head = struct.pack(">I", alpha) + x[:alpha]
-            for beta in range(stride):
-                z = head + y[:beta]
+            if lengths_only:
+                conditions = zip(repeat(alpha), range(stride))
+            else:
+                head = struct.pack(">I", alpha) + x[:alpha]
+                conditions = (head + y[:beta] for beta in range(stride))
+            first = array("d", [0.0]) * stride
+            second = array("d", [0.0]) * stride
+            for beta, z in enumerate(conditions):
                 try:
-                    v1 = float(est.est(x, z))
-                    v2 = float(est.est(y, z))
+                    v1 = float(estimate(x, z))
+                    v2 = float(estimate(y, z))
                 except Exception as exc:
                     raise EstimatorFailure(f"estimator failed at node ({alpha}, {beta}): {exc}") from exc
-                if not (isfinite(v1) and isfinite(v2)) or v1 < 0 or v2 < 0:
+                if not (0.0 <= v1 < inf and 0.0 <= v2 < inf):  # false for nan
                     raise EstimatorFailure(
                         f"estimator returned invalid value at node ({alpha}, {beta}): ({v1}, {v2})"
                     )
-                first[k] = v1
-                second[k] = v2
-                k += 1
+                first[beta] = v1
+                second[beta] = v2
+            yield first, second
     finally:
         if helper is not None:
             helper.close()
+
+
+def build_grid(x: bytes, y: bytes, est: ComplexityEstimator) -> GridMap:
+    """Evaluate the estimator at every prefix pair and store the grid: the
+    columns of `grid_columns`, with its budget checks, errors and helper
+    thread, copied into flat arrays."""
+    columns = grid_columns(x, y, est)
+    stride = len(y) + 1
+    first = array("d", [0.0]) * ((len(x) + 1) * stride)
+    second = array("d", [0.0]) * len(first)
+    with closing(columns):
+        for start, (v1, v2) in zip(range(0, len(first), stride), columns):
+            first[start:start + stride] = v1
+            second[start:start + stride] = v2
     return GridMap._from_arrays(len(x), len(y), first, second)
+
+
+# -- per-column steps ---------------------------------------------------------
+#
+# Each step reads the grid one column at a time through `add(v1, v2)`, the
+# column's two components as float arrays, and holds at most two columns.
+# `halve` feeds them the columns as they are estimated; the queries on a
+# stored grid feed them `GridMap.columns()`.
+
+def _feed(columns, *steps):
+    """Pass each (v1, v2) column to every step in turn; return the steps."""
+    for v1, v2 in columns:
+        for step in steps:
+            step.add(v1, v2)
+    return steps
+
+
+class _Lipschitz:
+    """Max per-component value change across grid-adjacent nodes."""
+
+    def __init__(self):
+        self.value = 0.0
+        self._held = None
+
+    def add(self, v1, v2) -> None:
+        worst = self.value
+        for col in (v1, v2):
+            worst = max(worst, max(map(abs, map(sub, col[1:], col))))
+        if self._held is not None:
+            for col, prev in zip((v1, v2), self._held):
+                worst = max(worst, max(map(abs, map(sub, col, prev))))
+        self.value, self._held = worst, (v1, v2)
+
+
+class _Boundary:
+    """The images of the four boundary edges: the first and last columns,
+    and each column's bottom and top node."""
+
+    def __init__(self):
+        self._edges = tuple(array("d") for _ in range(4))  # bottom v1, v2; top v1, v2
+        self._first = self._last = None
+
+    def add(self, v1, v2) -> None:
+        if self._first is None:
+            self._first = (v1, v2)
+        self._last = (v1, v2)
+        for edge, value in zip(self._edges, (v1[0], v2[0], v1[-1], v2[-1])):
+            edge.append(value)
+
+    def trace(self) -> tuple[array, array]:
+        """The two components of the boundary nodes' images, in counterclockwise order."""
+        b1, b2, t1, t2 = self._edges
+        (l1, l2), (r1, r2) = self._first, self._last
+        w, h = len(b1) - 1, len(l1) - 1
+        return (b1[:w] + r1[:h] + t1[w:0:-1] + l1[h:0:-1],
+                b2[:w] + r2[:h] + t2[w:0:-1] + l2[h:0:-1])
+
+
+class _TriangleScan:
+    """First triangle with a non-degenerate image holding the target.
+
+    Scan order: cells by (i, j), in each cell the lower triangle
+    (i,j), (i+1,j), (i+1,j+1) before the upper (i,j), (i,j+1), (i+1,j+1).
+    With the target at the origin, triangle abc contains it iff the edge
+    cross products a x b, b x c and c x a share a weak sign.  They sum to
+    twice the triangle's signed area, which is then nonzero iff one of them
+    is.  Each edge's cross product is computed once.
+
+    Each column, less the target, is scaled by its own 2**k, the least that
+    makes the column and the target integers.  Scaling either vector of a
+    cross product by a positive factor leaves its sign alone, so columns at
+    different scales still compare exactly.  `found` is (nodes, images),
+    nodes sorted, once found; later columns are then ignored.
+    """
+
+    def __init__(self, target: Pair):
+        self._target = [float(t) for t in target]
+        self._k_target = _exponent(self._target)
+        self._held = None  # (i, v1, v2, xs, ys, up) of the last column read
+        self.found = None
+
+    def add(self, v1, v2) -> None:
+        if self.found is not None:
+            return
+        k = _exponent(v2, _exponent(v1, self._k_target))
+        ox, oy = _scaled(self._target, k)
+        xr, yr = _scaled(v1, k, ox), _scaled(v2, k, oy)
+        up_r = list(map(sub, map(mul, xr, yr[1:]), map(mul, yr, xr[1:])))  # (i+1,j) -> (i+1,j+1)
+        if self._held is None:
+            self._held = (0, v1, v2, xr, yr, up_r)
+            return
+        i, l1, l2, xl, yl, up_l = self._held
+        across = list(map(sub, map(mul, xl, yr), map(mul, yl, xr)))  # (i,j) -> (i+1,j)
+        back = list(map(sub, map(mul, xr[1:], yl), map(mul, yr[1:], xl)))  # (i+1,j+1) -> (i,j)
+        for j, (a, b, c, d, e) in enumerate(zip(across, up_r, back, up_l, across[1:])):
+            if (a >= 0 and b >= 0 and c >= 0 or a <= 0 and b <= 0 and c <= 0) and (a or b or c):
+                self.found = (((i, j), (i + 1, j), (i + 1, j + 1)),
+                              ((l1[j], l2[j]), (v1[j], v2[j]), (v1[j + 1], v2[j + 1])))
+                break
+            if (d >= 0 and e >= 0 and c >= 0 or d <= 0 and e <= 0 and c <= 0) and (d or e or c):
+                self.found = (((i, j), (i, j + 1), (i + 1, j + 1)),
+                              ((l1[j], l2[j]), (l1[j + 1], l2[j + 1]), (v1[j + 1], v2[j + 1])))
+                break
+        self._held = None if self.found else (i + 1, v1, v2, xr, yr, up_r)
 
 
 def measured_lipschitz(grid: GridMap) -> float:
     """Max per-component value change across grid-adjacent nodes."""
-    stride = grid.height + 1
-    worst = 0.0
-    for values in (grid._v1, grid._v2):
-        prev = None
-        for start in range(0, len(values), stride):
-            col = values[start:start + stride]
-            worst = max(worst, max(map(abs, map(sub, col[1:], col))))
-            if prev is not None:
-                worst = max(worst, max(map(abs, map(sub, col, prev))))
-            prev = col
-    return worst
+    (step,) = _feed(grid.columns(), _Lipschitz())
+    return step.value
 
 
 def pl_extend(grid: GridMap, point: Pair) -> Pair:
@@ -401,10 +540,8 @@ def pl_extend(grid: GridMap, point: Pair) -> Pair:
 def boundary_polyline(grid: GridMap) -> list[Pair]:
     """Image of the domain boundary's lattice nodes, counterclockwise: a
     closed polyline, PL-exact."""
-    w, h = grid.width, grid.height
-    nodes = [(i, 0) for i in range(w)] + [(w, j) for j in range(h)]
-    nodes += [(i, h) for i in range(w, 0, -1)] + [(0, j) for j in range(h, 0, -1)]
-    return [grid.at(i, j) for i, j in nodes]
+    (step,) = _feed(grid.columns(), _Boundary())
+    return list(zip(*step.trace()))
 
 
 def _exponent(values, k: int = 0) -> int:
@@ -417,29 +554,28 @@ def _exponent(values, k: int = 0) -> int:
     return max(k, max(map(itemgetter(1), map(float.as_integer_ratio, values))).bit_length() - 1)
 
 
-def _scaled(values, k: int) -> list[int]:
-    """value * 2**k for each value, exactly, where k >= _exponent(values)."""
+def _scaled(values, k: int, offset: int = 0) -> list[int]:
+    """value * 2**k - offset for each value, exactly, where k >= _exponent(values)."""
     try:
-        return list(map(int, map(math.ldexp, values, repeat(k))))
+        return [n - offset for n in map(int, map(math.ldexp, values, repeat(k)))]
     except OverflowError:
-        return [n << k >> (d.bit_length() - 1) for n, d in map(float.as_integer_ratio, values)]
+        return [(n << k >> (d.bit_length() - 1)) - offset for n, d in map(float.as_integer_ratio, values)]
 
 
-def _to_origin(xs, ys, target: Pair, k: int | None = None):
-    """The points (xs[i], ys[i]) less the target, both times 2**k as integers;
-    k defaults to the least that makes them integers."""
+def _to_origin(xs, ys, target: Pair):
+    """The points (xs[i], ys[i]) less the target, times the least power of
+    two that makes them all integers."""
     target = [float(t) for t in target]
-    if k is None:
-        k = _exponent(xs + ys + target)
-    (ox, oy), xs, ys = _scaled(target, k), _scaled(xs, k), _scaled(ys, k)
-    return list(map(sub, xs, repeat(ox))), list(map(sub, ys, repeat(oy)))
+    k = _exponent(ys, _exponent(xs, _exponent(target)))
+    ox, oy = _scaled(target, k)
+    return _scaled(xs, k, ox), _scaled(ys, k, oy)
 
 
-def winding_number(grid: GridMap, target: Pair) -> int:
-    """Signed turns of the boundary image around the target, by the crossing
-    rule; raises TargetOnBoundary iff the target lies on a boundary segment."""
-    poly = boundary_polyline(grid)
-    xs, ys = _to_origin([p[0] for p in poly], [p[1] for p in poly], target)
+def _winding(xs, ys, target: Pair) -> int:
+    """Signed turns of the closed polyline through the points (xs[i], ys[i])
+    around the target, by the crossing rule; raises TargetOnBoundary iff the
+    target lies on a segment."""
+    xs, ys = _to_origin(xs, ys, target)
     winding = 0
     for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
         cross = ax * by - ay * bx
@@ -452,39 +588,23 @@ def winding_number(grid: GridMap, target: Pair) -> int:
     return winding
 
 
-def _scan_for_triangle(grid: GridMap, target: Pair):
-    """First triangle with a non-degenerate image holding the target, or None.
+def winding_number(grid: GridMap, target: Pair) -> int:
+    """Signed turns of the boundary image around the target, by the crossing
+    rule; raises TargetOnBoundary iff the target lies on a boundary segment."""
+    (step,) = _feed(grid.columns(), _Boundary())
+    return _winding(*step.trace(), target)
 
-    Scan order: cells by (i, j), in each cell the lower triangle
-    (i,j), (i+1,j), (i+1,j+1) before the upper (i,j), (i,j+1), (i+1,j+1).
-    With the target at the origin, triangle abc contains it iff the edge
-    cross products a x b, b x c and c x a share a weak sign.  They sum to
-    twice the triangle's signed area, which is then nonzero iff one of them
-    is.  Each edge's cross product is computed once, two columns at a time.
-    """
-    v1, v2 = grid._v1, grid._v2
-    stride = grid.height + 1
-    columns = [slice(start, start + stride) for start in range(0, len(v1), stride)]
-    k = _exponent([float(t) for t in target])
-    for part in columns:
-        k = _exponent(v2[part], _exponent(v1[part], k))
 
-    def column(i):
-        xs, ys = _to_origin(v1[columns[i]], v2[columns[i]], target, k)
-        return xs, ys, list(map(sub, map(mul, xs, ys[1:]), map(mul, ys, xs[1:])))
-
-    xl, yl, up_l = column(0)
-    for i in range(grid.width):
-        xr, yr, up_r = column(i + 1)
-        across = list(map(sub, map(mul, xl, yr), map(mul, yl, xr)))  # (i,j) -> (i+1,j)
-        back = list(map(sub, map(mul, xr[1:], yl), map(mul, yr[1:], xl)))  # (i+1,j+1) -> (i,j)
-        for j, (a, b, c, d, e) in enumerate(zip(across, up_r, back, up_l, across[1:])):
-            if (a >= 0 and b >= 0 and c >= 0 or a <= 0 and b <= 0 and c <= 0) and (a or b or c):
-                return ((i, j), (i + 1, j), (i + 1, j + 1))
-            if (d >= 0 and e >= 0 and c >= 0 or d <= 0 and e <= 0 and c <= 0) and (d or e or c):
-                return ((i, j), (i, j + 1), (i + 1, j + 1))
-        xl, yl, up_l = xr, yr, up_r
-    return None
+def _nearest(found, target: Pair):
+    """(node, image, residual) of the vertex of a found triangle whose image
+    is nearest the target, by exact squared distance and ties to the least
+    node."""
+    nodes, values = found
+    xs, ys = _to_origin([v[0] for v in values], [v[1] for v in values], target)
+    squared = [x * x + y * y for x, y in zip(xs, ys)]
+    best = squared.index(min(squared))
+    value = values[best]
+    return nodes[best], value, math.hypot(value[0] - target[0], value[1] - target[1])
 
 
 def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
@@ -495,12 +615,9 @@ def find_preimage(grid: GridMap, target: Pair) -> tuple[tuple[int, int], float]:
     images are closed."""
     if winding_number(grid, target) == 0:
         raise NotCovered(f"boundary image does not wind around {target}")
-    nodes = sorted(_scan_for_triangle(grid, target))
-    values = [grid.at(*node) for node in nodes]
-    xs, ys = _to_origin([v[0] for v in values], [v[1] for v in values], target)
-    squared = [x * x + y * y for x, y in zip(xs, ys)]
-    best = squared.index(min(squared))
-    return nodes[best], math.hypot(values[best][0] - target[0], values[best][1] - target[1])
+    (scan,) = _feed(grid.columns(), _TriangleScan(target))
+    node, _, residual = _nearest(scan.found, target)
+    return node, residual
 
 
 @dataclass
@@ -543,15 +660,25 @@ def halve(x: bytes, y: bytes, est: ComplexityEstimator) -> HalveReport:
 
     Best-effort empirical pipeline: the result is a statement about the
     estimator's grid, not about true description complexity.
+
+    One sweep reads the columns of `grid_columns` as they are estimated and
+    keeps none past the next; the report equals that of the stored grid's
+    `measured_lipschitz`, `winding_number` and `find_preimage`.  The target
+    is estimated after the budget checks and before the first grid node, so
+    `est` is called 2(|x|+1)(|y|+1) + 2 times on the same inputs as when the
+    target came last; only the order differs.
     """
-    grid = build_grid(x, y, est)
-    target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
-    measured = measured_lipschitz(grid)
-    winding = winding_number(grid, target)
+    columns = grid_columns(x, y, est)
+    try:
+        target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
+    except Exception as exc:
+        raise EstimatorFailure(f"estimator failed at the target: {exc}") from exc
+    with closing(columns):
+        lipschitz, boundary, scan = _feed(columns, _Lipschitz(), _Boundary(), _TriangleScan(target))
+    winding = _winding(*boundary.trace(), target)
     alpha = beta = achieved = residual = None
     if winding != 0:
-        (alpha, beta), residual = find_preimage(grid, target)
-        achieved = grid.at(alpha, beta)
+        (alpha, beta), achieved, residual = _nearest(scan.found, target)
     return HalveReport(
         nx=len(x),
         ny=len(y),
@@ -563,5 +690,5 @@ def halve(x: bytes, y: bytes, est: ComplexityEstimator) -> HalveReport:
         achieved=achieved,
         residual=residual,
         lipschitz_declared=est.lipschitz_bound,
-        lipschitz_measured=measured,
+        lipschitz_measured=lipschitz.value,
     )

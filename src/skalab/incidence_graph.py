@@ -19,9 +19,6 @@ against two classical yardsticks:
   The report tests the count against the cap in integers
   (`within_reiman_cap`) and runs the C4 check only when the count exceeds
   it.
-
-`random_bigraph` produces the uniform-random baseline with the same
-(alpha, beta, gamma) log-sizes for comparison runs.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +35,6 @@ from .errors import (
     InvariantViolation,
     SizeTooLarge,
     TooLarge,
-    TooManyEdges,
     UnknownVertex,
 )
 from .finite_field import is_prime
@@ -343,19 +338,6 @@ def sdz_report(g: BiGraph | PlaneHost, query: SubgraphQuery) -> BoundReport:
         n=n,
         q=g.q,
     )
-
-
-def random_bigraph(alpha: float, beta: float, gamma: float, seed: int) -> BiGraph:
-    """Uniform simple bipartite graph with 2^alpha, 2^beta vertices, 2^gamma edges."""
-    n_left = int(2.0**alpha)
-    n_right = int(2.0**beta)
-    n_edges = int(2.0**gamma)
-    if n_edges > n_left * n_right:
-        raise TooManyEdges(f"{n_edges} edges > {n_left}*{n_right} cells")
-    rng = random.Random(seed)
-    cells = rng.sample(range(n_left * n_right), n_edges)
-    edges = {(c // n_right, c % n_right) for c in cells}
-    return BiGraph(list(range(n_left)), list(range(n_right)), edges)
 
 
 def c4_free_check(g: BiGraph) -> bool:

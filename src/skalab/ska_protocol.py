@@ -60,30 +60,6 @@ def key_bits(p: int) -> int:
     return (p - 1).bit_length()
 
 
-def payload_width(p: int) -> int:
-    """Payload bytes on the wire: ceil(ceil(log2 p) / 8)."""
-    return (key_bits(p) + 7) // 8
-
-
-def encode_message(msg: Message, p: int) -> bytes:
-    """[1 round byte 0x01/0x02][big-endian fixed-width payload]."""
-    if msg.round not in (1, 2):
-        raise RoundMismatch(f"round tag must be 1 or 2, got {msg.round}")
-    return bytes([msg.round]) + msg.payload.to_bytes(payload_width(p), "big")
-
-
-def decode_message(data: bytes, p: int) -> Message:
-    width = payload_width(p)
-    if len(data) != 1 + width:
-        raise ValueError(f"frame must be {1 + width} bytes, got {len(data)}")
-    if data[0] not in (1, 2):
-        raise RoundMismatch(f"bad round byte 0x{data[0]:02x}")
-    payload = int.from_bytes(data[1:], "big")
-    if payload >= p:
-        raise ValueError(f"payload {payload} out of range for p={p}")
-    return Message(data[0], payload)
-
-
 def alice_m2(p: int, u: int, u_p: int, r: int, m1: int) -> int:
     """Round 2 payload: m2 = u' - u'' where r*m1*xi^2 = u'' + v''*xi.
 

@@ -36,7 +36,8 @@ SKA_AUDIT_QS = ("4", "9", "25", "49", "121", "169", "289", "7", "6")
 SKA_RUN_SEEDS = {"9": ("8", "4"), "25": ("5", "10"), "49": ("31", "6")}
 
 # `halve` inputs, written by `write_halve_inputs`: a linear ramp, word text,
-# and two short random strings whose zlib image misses the target
+# two short random strings whose zlib image misses the target, a 64 + 40
+# pair for the length-only estimators and 24 + 24 random bytes for zlib
 HALVE_FILES = {
     "ramp_x.bin": bytes(range(16)),
     "ramp_y.bin": bytes(range(16, 32)),
@@ -45,6 +46,10 @@ HALVE_FILES = {
     "miss_x.bin": b"\xd2\xad",
     "miss_y.bin": b"rd\x7f",
     "empty.bin": b"",
+    "wide_x.bin": bytes(range(64)),
+    "wide_y.bin": bytes(range(100, 140)),
+    "rand_x.bin": bytes.fromhex("5b790c7cac994990d7ad7d21b020b7a331d02e1a1e788926"),
+    "rand_y.bin": bytes.fromhex("f56ed30aa4b2b37fd541094c40e93e68c09b9e7d4011c0e0"),
 }
 HALVE_PAIRS = (
     ("ramp_x.bin", "ramp_y.bin"),
@@ -95,6 +100,10 @@ def command_lines() -> list[list[str]]:
             argvs.append(["halve", "--estimator", estimator, "--x-file", x, "--y-file", y])
     argvs.append(["halve", "--x-file", "empty.bin", "--y-file", "ramp_y.bin"])
     argvs.append(["halve", "--x-file", "absent.bin", "--y-file", "ramp_y.bin"])
+    for estimator in ("ramp", "prefix-gap"):
+        argvs.append(["halve", "--estimator", estimator, "--x-file", "wide_x.bin",
+                      "--y-file", "wide_y.bin"])
+    argvs.append(["halve", "--estimator", "zlib", "--x-file", "rand_x.bin", "--y-file", "rand_y.bin"])
     return argvs
 
 

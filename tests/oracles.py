@@ -13,7 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import struct
 import zlib
+from array import array
 from fractions import Fraction
 
 from skalab.errors import (
@@ -22,17 +25,22 @@ from skalab.errors import (
     EstimatorFailure,
     InvariantViolation,
     NotCovered,
+    RoundMismatch,
     SkalabError,
     TargetOnBoundary,
     TooLarge,
     UnsupportedField,
 )
-from skalab.finite_field import field_for_size, parse_elt
+from skalab.finite_field import Elt, FieldSpec, FieldTables, field_for_size
 from skalab.halving_walk import (
     ComplexityEstimator,
     HalveReport,
     boundary_polyline,
+    build_grid,
+    find_preimage,
+    measured_lipschitz,
     pair_condition,
+    winding_number,
 )
 from skalab.incidence_graph import BiGraph, SubgraphQuery, zarankiewicz_bound
 from skalab.projective_plane import (
@@ -48,6 +56,7 @@ from skalab.ska_protocol import (
     AUDIT_MAX_P,
     AliceState,
     BobState,
+    Message,
     SecrecyAudit,
     SessionResult,
     alice_m2,
@@ -55,6 +64,7 @@ from skalab.ska_protocol import (
     bob_key,
     bob_recover,
     bob_round1,
+    key_bits,
 )
 from skalab.subplane_cover import Automorphism, baer_subplane
 
@@ -80,6 +90,41 @@ def is_prime_trial(n: int) -> bool:
 def is_irreducible_scan(p: int, u: int, v: int) -> bool:
     """True iff X^2 - v*X - u has no root in GF(p), by trying every element."""
     return all((x * x - v * x - u) % p != 0 for x in range(p))
+
+
+# -- field arithmetic on `Elt` objects -----------------------------------------
+
+def decompose(a: Elt) -> tuple[int, int]:
+    """Residues (a0, a1) on the {1, xi} basis; a1 = 0 in prime fields."""
+    return (a.a0, a.a1)
+
+
+ELT_RE = re.compile(r"^(?:(\d+)|(?:(\d+)\+)?(\d*)x)$")
+
+
+def parse_elt(spec: FieldSpec, text: str) -> Elt:
+    """Parse the textual element syntax: '2', 'x', '2x', '1+2x', ..."""
+    s = text.strip().replace(" ", "")
+    m = ELT_RE.match(s)
+    if not m:
+        raise ValueError(f"malformed element literal {text!r}")
+    plain, a0_str, a1_str = m.groups()
+    if plain is not None:
+        return spec.elt(int(plain))
+    a0 = int(a0_str) if a0_str else 0
+    a1 = int(a1_str) if a1_str else 1
+    return spec.elt(a0, a1)
+
+
+def field_tables_elt(spec: FieldSpec) -> FieldTables:
+    """The index-level add/mul/neg/inv tables, from `Elt` arithmetic."""
+    elts = list(spec.elements())
+    index = spec.index
+    add = [[index(a + b) for b in elts] for a in elts]
+    mul = [[index(a * b) for b in elts] for a in elts]
+    neg = [index(-a) for a in elts]
+    inv = [None] + [index(a.inv()) for a in elts[1:]]
+    return FieldTables(add, mul, neg, inv)
 
 
 # -- plane enumeration on objects ---------------------------------------------
@@ -257,10 +302,10 @@ def to_chart_elt(flag) -> ChartCoords:
     y0, y1, y2 = flag.point.coords
     if x0.is_zero() or y2.is_zero():
         raise ChartInvalid("flag has x0 = 0 or y2 = 0")
-    f, r = (x1 * x0.inv()).decompose()
+    f, r = decompose(x1 * x0.inv())
     y2inv = y2.inv()
-    g, t = (y0 * y2inv).decompose()
-    h, s = (y1 * y2inv).decompose()
+    g, t = decompose(y0 * y2inv)
+    h, s = decompose(y1 * y2inv)
     return ChartCoords(spec, f, r, g, t, h, s)
 
 
@@ -279,8 +324,8 @@ def alice_from_line(line) -> AliceState:
     if x0.is_zero():
         raise ChartInvalid("line has x0 = 0")
     inv0 = x0.inv()
-    f, r = (x1 * inv0).decompose()
-    u_p, v_p = (-(x2 * inv0)).decompose()
+    f, r = decompose(x1 * inv0)
+    u_p, v_p = decompose(-(x2 * inv0))
     return AliceState(line.spec, f, r, u_p, v_p)
 
 
@@ -290,8 +335,8 @@ def bob_from_point(point) -> BobState:
     if y2.is_zero():
         raise ChartInvalid("point has y2 = 0")
     inv2 = y2.inv()
-    g, t = (y0 * inv2).decompose()
-    h, s = (y1 * inv2).decompose()
+    g, t = decompose(y0 * inv2)
+    h, s = decompose(y1 * inv2)
     return BobState(point.spec, g, t, h, s)
 
 
@@ -317,10 +362,34 @@ def run_session_objects(flag) -> SessionResult:
                          alice_key=alice.f, bob_key=k_bob)
 
 
+def payload_width(p: int) -> int:
+    """Payload bytes on the wire: ceil(ceil(log2 p) / 8)."""
+    return (key_bits(p) + 7) // 8
+
+
+def encode_message(msg: Message, p: int) -> bytes:
+    """[1 round byte 0x01/0x02][big-endian fixed-width payload]."""
+    if msg.round not in (1, 2):
+        raise RoundMismatch(f"round tag must be 1 or 2, got {msg.round}")
+    return bytes([msg.round]) + msg.payload.to_bytes(payload_width(p), "big")
+
+
+def decode_message(data: bytes, p: int) -> Message:
+    width = payload_width(p)
+    if len(data) != 1 + width:
+        raise ValueError(f"frame must be {1 + width} bytes, got {len(data)}")
+    if data[0] not in (1, 2):
+        raise RoundMismatch(f"bad round byte 0x{data[0]:02x}")
+    payload = int.from_bytes(data[1:], "big")
+    if payload >= p:
+        raise ValueError(f"payload {payload} out of range for p={p}")
+    return Message(data[0], payload)
+
+
 def alice_m2_elt(spec, u_p: int, r: int, m1: int) -> int:
     """Alice's round 2 as u' - u'', with u'' read off r*m1*xi^2 in GF(p^2)."""
     xi = spec.xi()
-    u_pp, _ = (spec.elt(r * m1) * (xi * xi)).decompose()
+    u_pp, _ = decompose(spec.elt(r * m1) * (xi * xi))
     return (u_p - u_pp) % spec.p
 
 
@@ -336,10 +405,10 @@ def secrecy_histogram_objects(q: int) -> dict[tuple[int, int], dict[int, int]]:
     for f, r, g, t, h, s in itertools.product(range(p), repeat=6):
         if h == 0:
             continue
-        u_p, _ = chart_x2(ChartCoords(spec, f, r, g, t, h, s)).decompose()
+        u_p, _ = decompose(chart_x2(ChartCoords(spec, f, r, g, t, h, s)))
         m1 = s
         m2 = alice_m2_elt(spec, u_p, r, m1)
-        key, _ = ((spec.elt(m2) - spec.elt(g)) / spec.elt(h)).decompose()
+        key, _ = decompose((spec.elt(m2) - spec.elt(g)) / spec.elt(h))
         per_key = histogram.setdefault((m1, m2), {})
         per_key[key] = per_key.get(key, 0) + 1
     return histogram
@@ -427,6 +496,23 @@ def within_cap_float(edges: int, left_size: int, right_size: int) -> bool:
     return edges <= zarankiewicz_bound(left_size, right_size) + 1e-9
 
 
+class TooManyEdges(SkalabError):
+    """Requested edge count exceeds the bipartite capacity."""
+
+
+def random_bigraph(alpha: float, beta: float, gamma: float, seed: int) -> BiGraph:
+    """Uniform simple bipartite graph with 2^alpha, 2^beta vertices, 2^gamma edges."""
+    n_left = int(2.0**alpha)
+    n_right = int(2.0**beta)
+    n_edges = int(2.0**gamma)
+    if n_edges > n_left * n_right:
+        raise TooManyEdges(f"{n_edges} edges > {n_left}*{n_right} cells")
+    rng = random.Random(seed)
+    cells = rng.sample(range(n_left * n_right), n_edges)
+    edges = {(c // n_right, c % n_right) for c in cells}
+    return BiGraph(list(range(n_left)), list(range(n_right)), edges)
+
+
 def c4_free_pairwise(g: BiGraph) -> bool:
     """True iff no two left vertices share two common right neighbors."""
     bits = g._left_bits
@@ -466,6 +552,16 @@ def search_greedy_linear(g: BiGraph, a: int, b: int):
 
 # -- halving walk on a list-of-tuples grid --------------------------------------
 
+def split_condition(condition: bytes) -> tuple[bytes, bytes]:
+    """Inverse of `pair_condition`; the empty condition splits to two empties."""
+    if condition == b"":
+        return b"", b""
+    (n,) = struct.unpack_from(">I", condition)
+    if n > len(condition) - 4:
+        raise ValueError("length prefix exceeds condition body")
+    return condition[4:4 + n], condition[4 + n:]
+
+
 class FourCompressionEstimator(ComplexityEstimator):
     """est(a|b) = C(b||a) - C(b), compressing the condition on every call."""
 
@@ -484,7 +580,8 @@ class TupleGrid:
     """Value pairs as values[alpha][beta] = (v1, v2): about 112 B per node.
 
     Duck-types `GridMap` for `winding_number`, `boundary_polyline` and
-    `pl_extend`, which read the grid only through `at`, `width`, `height`.
+    `pl_extend`, which read the grid only through `at`, `width`, `height`
+    and `columns`.
     """
 
     def __init__(self, width, height, values):
@@ -502,6 +599,10 @@ class TupleGrid:
 
     def at(self, alpha, beta):
         return self.values[alpha][beta]
+
+    def columns(self):
+        for col in self.values:
+            yield array("d", [v[0] for v in col]), array("d", [v[1] for v in col])
 
 
 def build_tuple_grid(x: bytes, y: bytes, est) -> TupleGrid:
@@ -716,6 +817,26 @@ def halve_tuples(x: bytes, y: bytes, est, exact: bool = False) -> HalveReport:
     grid = build_tuple_grid(x, y, est)
     target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
     measured = lipschitz_pairwise(grid)
+    winding = winding_number(grid, target)
+    alpha = beta = achieved = residual = None
+    if winding != 0:
+        (alpha, beta), residual = find_preimage(grid, target)
+        achieved = grid.at(alpha, beta)
+    return HalveReport(
+        nx=len(x), ny=len(y), target=target, winding=winding,
+        status="ok" if winding != 0 else "not_covered",
+        alpha=alpha, beta=beta, achieved=achieved, residual=residual,
+        lipschitz_declared=est.lipschitz_bound, lipschitz_measured=measured,
+    )
+
+
+def halve_grid(x: bytes, y: bytes, est) -> HalveReport:
+    """The halving pipeline on a stored `GridMap`: the whole grid first, then
+    the target, the Lipschitz maximum, the winding number and the preimage,
+    each in its own pass."""
+    grid = build_grid(x, y, est)
+    target = (est.est(x, b"") / 2.0, est.est(y, b"") / 2.0)
+    measured = measured_lipschitz(grid)
     winding = winding_number(grid, target)
     alpha = beta = achieved = residual = None
     if winding != 0:

@@ -1,14 +1,14 @@
 import pytest
 
+import oracles
+from skalab import finite_field
 from skalab.errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge, UnsupportedField
 from skalab.finite_field import (
     TABLE_MAX_ENTRIES,
-    FieldSpec,
     build_field_spec,
     field_for_size,
     format_elt,
     is_prime,
-    parse_elt,
 )
 
 SMALL_FIELD_SIZES = [2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49]
@@ -73,10 +73,10 @@ class TestTableBudget:
 
     @pytest.mark.parametrize("p, degree", [(1009, 1), (101, 2)])  # q = 1009, 10201
     def test_refused_before_building(self, p, degree, monkeypatch):
-        def no_build(self):
+        def no_build(*args):
             raise AssertionError("table building started")
 
-        monkeypatch.setattr(FieldSpec, "elements", no_build)
+        monkeypatch.setattr(finite_field, "_index_tables", no_build)
         with pytest.raises(TooLarge, match="table budget"):
             build_field_spec(p, degree).tables()
 
@@ -89,7 +89,7 @@ class TestArith:
     def test_f9_mul_example(self):
         f9 = build_field_spec(3, 2)
         got = f9.elt(1, 2) * f9.elt(2, 1)
-        assert got.decompose() == poly_mul_mod((1, 2), (2, 1), 3, f9.u, f9.v) == (0, 2)
+        assert oracles.decompose(got) == poly_mul_mod((1, 2), (2, 1), 3, f9.u, f9.v) == (0, 2)
 
     def test_f9_add_example(self):
         f9 = build_field_spec(3, 2)
@@ -100,8 +100,8 @@ class TestArith:
             spec = field_for_size(q)
             for a in spec.elements():
                 for b in spec.elements():
-                    want = poly_mul_mod(a.decompose(), b.decompose(), spec.p, spec.u, spec.v)
-                    assert (a * b).decompose() == want
+                    want = poly_mul_mod(oracles.decompose(a), oracles.decompose(b), spec.p, spec.u, spec.v)
+                    assert oracles.decompose(a * b) == want
 
     def test_spec_mismatch(self):
         f3 = build_field_spec(3, 1)
@@ -135,17 +135,30 @@ class TestInv:
                     assert a * a.inv() == one
 
 
+class TestIndexTables:
+    @pytest.mark.parametrize("q", SMALL_FIELD_SIZES)
+    def test_tables_match_elt_arithmetic(self, q):
+        spec = field_for_size(q)
+        assert spec.tables() == oracles.field_tables_elt(spec)
+
+    def test_one_int_object_per_index(self):
+        # GF(289) indices pass the small-int cache: entries share 289 objects
+        add, mul, neg, inv = field_for_size(289).tables()
+        entries = [*add[100], *mul[100], *add[288], *mul[288], *neg, *inv[1:]]
+        assert len(set(map(id, entries))) == 289
+
+
 class TestDecompose:
     def test_identity(self):
         f9 = build_field_spec(3, 2)
-        assert f9.elt(1, 2).decompose() == (1, 2)
+        assert oracles.decompose(f9.elt(1, 2)) == (1, 2)
         f3 = build_field_spec(3, 1)
-        assert f3.elt(2).decompose() == (2, 0)
+        assert oracles.decompose(f3.elt(2)) == (2, 0)
 
     def test_round_trip_all_of_f9(self):
         f9 = build_field_spec(3, 2)
         for a in f9.elements():
-            a0, a1 = a.decompose()
+            a0, a1 = oracles.decompose(a)
             assert f9.elt(a0, a1) == a
 
 
@@ -211,28 +224,28 @@ class TestAxioms:
 class TestTextSyntax:
     def test_forms(self):
         f9 = build_field_spec(3, 2)
-        assert parse_elt(f9, "1+2x") == f9.elt(1, 2)
-        assert parse_elt(f9, "x") == f9.elt(0, 1)
-        assert parse_elt(f9, "2x") == f9.elt(0, 2)
-        assert parse_elt(f9, "2") == f9.elt(2)
-        assert parse_elt(f9, "2+x") == f9.elt(2, 1)
+        assert oracles.parse_elt(f9, "1+2x") == f9.elt(1, 2)
+        assert oracles.parse_elt(f9, "x") == f9.elt(0, 1)
+        assert oracles.parse_elt(f9, "2x") == f9.elt(0, 2)
+        assert oracles.parse_elt(f9, "2") == f9.elt(2)
+        assert oracles.parse_elt(f9, "2+x") == f9.elt(2, 1)
 
     def test_round_trip(self):
         for q in (3, 4, 9, 25):
             spec = field_for_size(q)
             for a in spec.elements():
-                assert parse_elt(spec, format_elt(a)) == a
+                assert oracles.parse_elt(spec, format_elt(a)) == a
 
     def test_malformed(self):
         f9 = build_field_spec(3, 2)
         for bad in ("", "+x", "x+1", "1+", "xx", "1 + 2y"):
             with pytest.raises(ValueError):
-                parse_elt(f9, bad)
+                oracles.parse_elt(f9, bad)
 
     def test_degree1_rejects_xi(self):
         f3 = build_field_spec(3, 1)
         with pytest.raises(SpecMismatch):
-            parse_elt(f3, "1+2x")
+            oracles.parse_elt(f3, "1+2x")
 
     def test_spec_json(self):
         f9 = build_field_spec(3, 2)

@@ -30,11 +30,11 @@ from skalab.halving_walk import (
     build_grid,
     find_preimage,
     get_estimator,
+    grid_columns,
     halve,
     measured_lipschitz,
     pair_condition,
     pl_extend,
-    split_condition,
     winding_number,
 )
 
@@ -61,7 +61,7 @@ class AffineEstimator(ComplexityEstimator):
         self.c2 = c2
 
     def est(self, target, condition):
-        a_part, b_part = split_condition(condition)
+        a_part, b_part = oracles.split_condition(condition)
         alpha, beta = len(a_part), len(b_part)
         c = self.c1 if target == self.x else self.c2
         return max(0.0, c[0] * alpha + c[1] * beta + c[2])
@@ -76,17 +76,17 @@ class SymmetricEstimator(ComplexityEstimator):
         self.m = m
 
     def est(self, target, condition):
-        a_part, b_part = split_condition(condition)
+        a_part, b_part = oracles.split_condition(condition)
         return float(max(0, 2 * self.m - len(a_part) - len(b_part)))
 
 
 class TestConditionEncoding:
     def test_round_trip(self):
         for a, b in ((b"", b""), (b"ab", b""), (b"", b"xyz"), (b"abc", b"de")):
-            assert split_condition(pair_condition(a, b)) == (a, b)
+            assert oracles.split_condition(pair_condition(a, b)) == (a, b)
 
     def test_empty_condition_splits_to_empties(self):
-        assert split_condition(b"") == (b"", b"")
+        assert oracles.split_condition(b"") == (b"", b"")
 
     def test_prefix_pairs_unambiguous(self):
         assert pair_condition(b"ab", b"c") != pair_condition(b"a", b"bc")
@@ -669,3 +669,197 @@ class _NoHelper:
 
     def close(self):
         pass
+
+
+def _lengths(condition):
+    """(alpha, beta) of a condition passed as lengths or as a pair's bytes."""
+    if type(condition) is tuple:
+        return condition
+    return tuple(map(len, oracles.split_condition(condition)))
+
+
+class DyadicRamp(ComplexityEstimator):
+    """The ramp plus 2**-(alpha+1) on v1: each column needs one more bit of
+    scale than the one before it, so every column pair of the scan mixes
+    two scales."""
+
+    lipschitz_bound = 1.0
+    lengths_only = True
+
+    def __init__(self, x, y):
+        self.ramp = RampEstimator(x, y)
+        self.x = x
+
+    def est(self, target, condition):
+        alpha, beta = _lengths(condition)
+        value = self.ramp.est(target, (alpha, beta))
+        return value + 2.0 ** -(alpha + 1) if target == self.x else value
+
+
+class LastColumnStep(ComplexityEstimator):
+    """v1 = 2 on every column but the last, where it is 0; v2 = 2(|y| - beta).
+    Every earlier column pair has a zero-area image, so the first triangle
+    that holds the target (1, |y|) lies in the last column pair."""
+
+    lipschitz_bound = 2.0
+    lengths_only = True
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def est(self, target, condition):
+        alpha, beta = _lengths(condition)
+        if target == self.x:
+            return 0.0 if alpha == len(self.x) else 2.0
+        return 2.0 * (len(self.y) - beta)
+
+
+def _sweep_outcome(fn, x, y, est):
+    try:
+        return fn(x, y, est).to_json_dict()
+    except (NotCovered, TargetOnBoundary) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# estimator id -> (factory for `halve`, factory for the rational oracle)
+SWEEP_ESTIMATORS = {
+    "zlib": (lambda x, y: CompressionEstimator(), lambda x, y: oracles.FourCompressionEstimator()),
+    "ramp": (RampEstimator, RampEstimator),
+    "prefix-gap": (PrefixGapEstimator, PrefixGapEstimator),
+}
+
+
+class TestSweep:
+    """`halve`'s one column sweep against the stored-grid pipeline
+    (`oracles.halve_grid`) and the exact rational one (`oracles.halve_tuples`
+    with `find_preimage_fraction`)."""
+
+    @staticmethod
+    def agree(x, y, make, ref=None):
+        got = _sweep_outcome(halve, x, y, make(x, y))
+        assert got == _sweep_outcome(oracles.halve_grid, x, y, make(x, y))
+        exact = _sweep_outcome(lambda *a: oracles.halve_tuples(*a, exact=True), x, y, (ref or make)(x, y))
+        assert got == exact
+        return got
+
+    @pytest.mark.parametrize("estimator", SWEEP_ESTIMATORS)
+    def test_matches_grid_and_fractions_on_random_pairs(self, estimator):
+        rng = random.Random(f"sweep:{estimator}")
+        outcomes = [self.agree(*oracles.random_halve_input(rng, max_len=12), *SWEEP_ESTIMATORS[estimator])
+                    for _ in range(40)]
+        statuses = {o[0] if isinstance(o, tuple) else o["status"] for o in outcomes}
+        assert "ok" in statuses and len(statuses) >= 2
+
+    @pytest.mark.parametrize("x, y, estimator, status", [
+        (b"plane line flag", b"plane line flag", "zlib", "TargetOnBoundary"),  # image on the diagonal
+        (b"abcd", b"abcd", "ramp", "TargetOnBoundary"),
+        (b"\xd2\xad", b"rd\x7f", "zlib", "not_covered"),  # the image misses the target
+    ])
+    def test_equal_strings_not_covered_and_on_boundary(self, x, y, estimator, status):
+        got = self.agree(x, y, *SWEEP_ESTIMATORS[estimator])
+        assert (got[0] if isinstance(got, tuple) else got["status"]) == status
+
+    def test_exponent_growing_column_by_column(self):
+        x, y = bytes(range(9)), bytes(range(20, 27))
+        est = DyadicRamp(x, y)
+        columns = list(grid_columns(x, y, est))
+        exponents = [halving_walk._exponent(v1 + v2) for v1, v2 in columns]
+        assert exponents == sorted(set(exponents))  # grows at every column
+        report = self.agree(x, y, DyadicRamp)
+        assert report["status"] == "ok" and report["alpha"] > 1
+
+    def test_triangle_in_the_last_column_pair(self):
+        x, y = bytes(7), bytes(5)
+        report = self.agree(x, y, LastColumnStep)
+        assert report["status"] == "ok" and report["target"] == [1.0, 5.0]
+        assert report["alpha"] >= len(x) - 1
+
+
+class TestSweepLifecycle:
+    @pytest.mark.parametrize("n, estimator, message", [
+        (999, RampEstimator, "halve budget"),
+        (999, PrefixGapEstimator, "halve budget"),
+        (270, lambda x, y: CompressionEstimator(), "zlib budget"),
+    ])
+    def test_refused_halve_makes_no_estimate(self, monkeypatch, n, estimator, message):
+        calls = []
+
+        def no_work(self, *args):
+            calls.append(args)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for cls in (CompressionEstimator, RampEstimator, PrefixGapEstimator):
+            monkeypatch.setattr(cls, "est", no_work)
+        monkeypatch.setattr(CompressionEstimator, "prefetch", no_work)
+        x, y = bytes(n), bytes(n)
+        with pytest.raises(TooLarge, match=message):
+            halve(x, y, estimator(x, y))
+        assert calls == []
+
+    @pytest.mark.parametrize("node", [(0, 0), (3, 2), (7, 9)])
+    def test_helper_joined_when_an_estimate_fails(self, monkeypatch, deadline, node):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        x, y = bytes(range(7)), b"word text"
+        before = threading.active_count()
+        with pytest.raises(EstimatorFailure, match=rf"node \({node[0]}, {node[1]}\): boom"):
+            halve(x, y, FailingAt(x, y, node))
+        assert threading.active_count() == before
+
+    def test_helper_joined_when_the_target_is_on_the_boundary(self, grid_path, deadline):
+        path, prefetch_threads = grid_path
+        before = threading.active_count()
+        with pytest.raises(TargetOnBoundary):
+            halve(b"plane line flag", b"plane line flag", CompressionEstimator())
+        assert threading.active_count() == before
+        assert bool(prefetch_threads) == (path == "helped")
+
+    def test_helper_joined_when_a_sweep_step_raises(self, monkeypatch, deadline):
+        calls = []
+        add = halving_walk._Lipschitz.add
+
+        def failing_add(self, v1, v2):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("step down")
+            return add(self, v1, v2)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(halving_walk._Lipschitz, "add", failing_add)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step down") as info:
+            halve(bytes(range(9)), b"word text", CompressionEstimator())
+        assert info.traceback  # the traceback keeps halve's frame alive
+        assert threading.active_count() == before
+
+    def test_target_failure_is_an_estimator_failure(self):
+        # the target is estimated first, so an estimator that always fails
+        # fails there, before the helper or the grid starts
+        class Broken(ComplexityEstimator):
+            def est(self, target, condition):
+                raise RuntimeError("boom")
+
+        with pytest.raises(EstimatorFailure, match="at the target: boom"):
+            halve(b"ab", b"cd", Broken())
+
+    def test_closing_the_columns_early_joins_the_helper(self, monkeypatch, deadline):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        est = CompressionEstimator()
+        before = threading.active_count()
+        columns = grid_columns(bytes(range(9)), b"word text", est)
+        next(columns)
+        assert threading.active_count() == before + 1
+        columns.close()
+        assert threading.active_count() == before and est.memo == {}
+
+    def test_peak_far_below_the_stored_grid(self):
+        x, y = bytes(range(200)) * 2, bytes(range(55, 255)) * 2
+        grid_bytes = 16 * (len(x) + 1) * (len(y) + 1)
+        tracemalloc.start()
+        try:
+            report = halve(x, y, RampEstimator(x, y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "ok"
+        assert peak < grid_bytes / 8

@@ -39,7 +39,7 @@ class TestCanonicalize:
     def test_scale_example(self):
         raw = (F3.zero(), F3.elt(2), F3.one())
         got = canonicalize(raw)
-        assert [c.decompose() for c in got] == [(0, 0), (1, 0), (2, 0)]
+        assert [oracles.decompose(c) for c in got] == [(0, 0), (1, 0), (2, 0)]
 
     def test_already_canonical(self):
         raw = (F3.one(), F3.zero(), F3.zero())
