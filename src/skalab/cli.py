@@ -95,14 +95,17 @@ def _line_blocks(plane):
 
 
 def _flag_csv_chunks(plane):
-    """The `plane --flags` CSV, a block of lines per chunk."""
-    from .reporting import render_csv
+    """The `plane --flags` CSV, a block of lines per chunk.
 
+    Every cell is an int, which `render_csv` writes unquoted, so each flag
+    is the line `q,lid,pid` with a CRLF; each line's rows are one join.
+    """
     q = plane.q
-    header = ("q", "line_id", "point_id")
+    header = "q,line_id,point_id\r\n"
     for block in _line_blocks(plane):
-        rows = [(q, lid, pid) for lid in block for pid in plane.row(lid)]
-        yield render_csv(header if block.start == 0 else None, rows)
+        yield header + "".join(f"{q},{lid}," + f"\r\n{q},{lid},".join(map(str, plane.row(lid))) + "\r\n"
+                               for lid in block)
+        header = ""
 
 
 def _flag_json_chunks(report: str, plane):
@@ -115,7 +118,8 @@ def _flag_json_chunks(report: str, plane):
     head, tail = report.split('"flag_list":[]')
     yield head + '"flag_list":['
     for block in _line_blocks(plane):
-        text = ",".join(f"[{lid},{pid}]" for lid in block for pid in plane.row(lid))
+        text = ",".join(f"[{lid}," + f"],[{lid},".join(map(str, plane.row(lid))) + "]"
+                        for lid in block)
         yield text if block.start == 0 else "," + text
     yield "]" + tail
 

@@ -73,15 +73,16 @@ Pair = tuple[float, float]
 
 
 def pair_condition(x_prefix: bytes, y_prefix: bytes) -> bytes:
-    """Length-prefixed pair: 4-byte big-endian len(first part), then parts."""
+    """Length-prefixed pair: 4-byte big-endian len(first part), then parts.
+
+    The one encoding of a grid node's condition: the producer and the
+    prefetch helper build each column's head as pair_condition(x[:alpha], b"").
+    """
     return struct.pack(">I", len(x_prefix)) + x_prefix + y_prefix
 
 
-def _split_lengths(condition) -> tuple[int, int]:
-    """Lengths of the two parts of a length-prefixed pair, without slicing;
-    an (alpha, beta) pair is returned unchanged."""
-    if type(condition) is tuple:
-        return condition
+def _split_lengths(condition: bytes) -> tuple[int, int]:
+    """Lengths of the two parts of a length-prefixed pair, without slicing."""
     if condition == b"":
         return 0, 0
     if len(condition) < 4:
@@ -184,13 +185,17 @@ class RampEstimator(ComplexityEstimator):
     def __init__(self, x: bytes, y: bytes):
         self.x = x
         self.y = y
+        self._twice_x = 2.0 * len(x)
+        self._twice_y = 2.0 * len(y)
 
-    def est(self, target: bytes, condition: bytes) -> float:
-        alpha, beta = _split_lengths(condition)
+    def est(self, target: bytes, condition) -> float:
+        alpha, beta = condition if type(condition) is tuple else _split_lengths(condition)
         if target == self.x:
-            return max(0.0, 2.0 * len(self.x) - alpha - beta / 2.0)
+            v = self._twice_x - alpha - beta / 2.0
+            return v if v > 0.0 else 0.0
         if target == self.y:
-            return max(0.0, 2.0 * len(self.y) - beta - alpha / 2.0)
+            v = self._twice_y - beta - alpha / 2.0
+            return v if v > 0.0 else 0.0
         raise ValueError("ramp estimator only evaluates its two bound strings")
 
 
@@ -203,13 +208,17 @@ class PrefixGapEstimator(ComplexityEstimator):
     def __init__(self, x: bytes, y: bytes):
         self.x = x
         self.y = y
+        self._len_x = float(len(x))
+        self._len_y = float(len(y))
 
-    def est(self, target: bytes, condition: bytes) -> float:
-        alpha, beta = _split_lengths(condition)
+    def est(self, target: bytes, condition) -> float:
+        alpha, beta = condition if type(condition) is tuple else _split_lengths(condition)
         if target == self.x:
-            return float(max(0, len(self.x) - alpha))
+            v = self._len_x - alpha
+            return v if v > 0.0 else 0.0
         if target == self.y:
-            return float(max(0, len(self.y) - beta))
+            v = self._len_y - beta
+            return v if v > 0.0 else 0.0
         raise ValueError("prefix-gap estimator only evaluates its two bound strings")
 
 
@@ -296,7 +305,7 @@ class _OddColumnPrefetch:
                 self._ahead.acquire()
                 if self._stop.is_set():
                     return
-                head = struct.pack(">I", alpha) + x[:alpha]
+                head = pair_condition(x[:alpha], b"")
                 conditions = [head + y[:beta] for beta in range(len(y) + 1)]
                 self._lengths[alpha] = self._est.prefetch((x, y), conditions)
                 ready.set()
@@ -370,7 +379,7 @@ def _estimated_columns(x: bytes, y: bytes, est: ComplexityEstimator):
             if lengths_only:
                 conditions = zip(repeat(alpha), range(stride))
             else:
-                head = struct.pack(">I", alpha) + x[:alpha]
+                head = pair_condition(x[:alpha], b"")
                 conditions = (head + y[:beta] for beta in range(stride))
             first = array("d", [0.0]) * stride
             second = array("d", [0.0]) * stride

@@ -28,6 +28,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden_stdout.json"
 
 PLANE_QS = (2, 3, 4, 5, 7, 9, 25, 49)
 BAER_QS = (4, 9, 25, 49)
+# `plane --flags` only, appended last: 3- and 4-digit ids over several chunks
+LARGE_FLAG_QS = (53, 101)
 SEEDS = ("0", "1", "2")
 # audited, then refused: over AUDIT_MAX_P, a prime and a non-prime-power q
 SKA_AUDIT_QS = ("4", "9", "25", "49", "121", "169", "289", "7", "6")
@@ -104,6 +106,9 @@ def command_lines() -> list[list[str]]:
         argvs.append(["halve", "--estimator", estimator, "--x-file", "wide_x.bin",
                       "--y-file", "wide_y.bin"])
     argvs.append(["halve", "--estimator", "zlib", "--x-file", "rand_x.bin", "--y-file", "rand_y.bin"])
+    for q in LARGE_FLAG_QS:
+        for fmt in ("json", "csv"):
+            argvs.append(["plane", "--q", str(q), "--format", fmt, "--flags"])
     return argvs
 
 

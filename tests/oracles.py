@@ -10,6 +10,8 @@ Seeded generators for test inputs live here too.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -473,6 +475,18 @@ def secrecy_audit_sixfold(q: int) -> SecrecyAudit:
     )
 
 
+# -- reporting ------------------------------------------------------------------
+
+def flag_csv_writer(plane) -> str:
+    """The `plane --flags` CSV with one `csv.writer` row per flag: the header,
+    then (q, lid, pid) for every flag in (lid, pid) order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(("q", "line_id", "point_id"))
+    writer.writerows((plane.q, lid, pid) for lid in range(plane.counts()[1]) for pid in plane.row(lid))
+    return buf.getvalue()
+
+
 # -- incidence graph ------------------------------------------------------------
 
 def is_biregular(g: BiGraph) -> bool:
@@ -560,6 +574,24 @@ def split_condition(condition: bytes) -> tuple[bytes, bytes]:
     if n > len(condition) - 4:
         raise ValueError("length prefix exceeds condition body")
     return condition[4:4 + n], condition[4 + n:]
+
+
+def ramp_max(x: bytes, y: bytes, target: bytes, alpha: int, beta: int) -> float:
+    """`RampEstimator.est` at (alpha, beta) as a `max` over the lengths."""
+    if target == x:
+        return max(0.0, 2.0 * len(x) - alpha - beta / 2.0)
+    if target == y:
+        return max(0.0, 2.0 * len(y) - beta - alpha / 2.0)
+    raise ValueError("ramp estimator only evaluates its two bound strings")
+
+
+def prefix_gap_max(x: bytes, y: bytes, target: bytes, alpha: int, beta: int) -> float:
+    """`PrefixGapEstimator.est` at (alpha, beta) as a `max` over the lengths."""
+    if target == x:
+        return float(max(0, len(x) - alpha))
+    if target == y:
+        return float(max(0, len(y) - beta))
+    raise ValueError("prefix-gap estimator only evaluates its two bound strings")
 
 
 class FourCompressionEstimator(ComplexityEstimator):

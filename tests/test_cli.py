@@ -78,16 +78,16 @@ class TestPlane:
     def test_flag_csv_chunks_join_to_one_table(self, monkeypatch, capsys):
         # three lines per chunk: PG(2,13)'s 183 lines make 61 chunks
         import skalab.cli as cli_mod
-        import skalab.reporting as reporting
 
         chunks = []
-        render_csv = reporting.render_csv
+        flag_csv_chunks = cli_mod._flag_csv_chunks
 
-        def counted(header, rows):
-            chunks.append(len(rows))
-            return render_csv(header, rows)
+        def counted(plane):
+            for chunk in flag_csv_chunks(plane):
+                chunks.append(chunk.count("\r\n") - chunk.startswith("q,line_id,point_id\r\n"))
+                yield chunk
 
-        monkeypatch.setattr(reporting, "render_csv", counted)
+        monkeypatch.setattr(cli_mod, "_flag_csv_chunks", counted)
         monkeypatch.setattr(cli_mod, "FLAG_CHUNK_ROWS", 3 * 14)
         monkeypatch.delenv("SKALAB_SEED", raising=False)
         assert main(["plane", "--q", "13", "--format", "csv", "--flags"]) == 0
@@ -97,7 +97,21 @@ class TestPlane:
         plane = projective_plane.enumerate_plane(13)
         assert lines[1:-1] == [f"13,{lid},{pid}" for lid, pid in plane.flag_ids]
 
-    @pytest.mark.parametrize("q, rows", [(2, 3 * 3), (13, 3 * 14), (13, 8192)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flags_out_file_equals_stdout(self, fmt, tmp_path, monkeypatch, capsys):
+        import skalab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "FLAG_CHUNK_ROWS", 3 * 14)
+        monkeypatch.delenv("SKALAB_SEED", raising=False)
+        argv = ["plane", "--q", "13", "--format", fmt, "--flags"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / f"flags.{fmt}"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+    @pytest.mark.parametrize("q, rows", [(2, 3 * 3), (13, 3 * 14), (13, 8192), (49, 1), (49, 100)])
     def test_flag_json_chunks_join_to_the_whole_report(self, q, rows, monkeypatch):
         # the streamed report equals the canonical JSON of the whole flag list
         import skalab.cli as cli_mod

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 import oracles
-from skalab import incidence_graph, ska_protocol
+from skalab import cli, incidence_graph, ska_protocol
 from skalab.cli import main
 from skalab.errors import InvariantViolation, NotCovered, SkalabError, TargetOnBoundary, TooLarge
 from skalab.finite_field import (
@@ -182,6 +182,20 @@ class TestFlagDecoder:
             flag = plane.flag(i)
             assert flag == oracles.flag_from_ids_checked(plane.spec, lid, pid)
             assert (type(flag.line), type(flag.point)) == (ProjLine, ProjPoint)
+
+
+class TestFlagCsv:
+    """`plane --flags` CSV chunks against one `csv.writer` row per flag."""
+
+    @pytest.mark.parametrize("rows", (1, 100, 8192))
+    @pytest.mark.parametrize("q", SUPPORTED_UP_TO_49)
+    def test_flag_csv_chunks_match_the_row_writer(self, q, rows, monkeypatch):
+        # one line per chunk at rows = 1, a few per chunk at 100, and the default
+        monkeypatch.setattr(cli, "FLAG_CHUNK_ROWS", rows)
+        plane = enumerate_plane(q)
+        chunks = list(cli._flag_csv_chunks(plane))
+        assert len(chunks) == math.ceil(plane.counts()[1] / max(1, rows // (q + 1)))
+        assert "".join(chunks) == oracles.flag_csv_writer(plane)
 
 
 class TestCoverScan:

@@ -92,6 +92,42 @@ class TestConditionEncoding:
         assert pair_condition(b"ab", b"c") != pair_condition(b"a", b"bc")
 
 
+class TestLengthOnlyEstimators:
+    """`ramp` and `prefix-gap` give the `max` closed forms of `oracles` on
+    (alpha, beta) pairs and on the byte conditions they encode, past the
+    lengths where the value floors at 0, and raise the same errors."""
+
+    CASES = [(RampEstimator, oracles.ramp_max), (PrefixGapEstimator, oracles.prefix_gap_max)]
+
+    @pytest.mark.parametrize("cls, reference", CASES)
+    def test_matches_closed_form(self, cls, reference):
+        rng = random.Random(f"length-only:{cls.__name__}")
+        pairs = [oracles.random_halve_input(rng, max_len=6) for _ in range(12)] + [(b"ab", b"ab")]
+        for x, y in pairs:
+            est = cls(x, y)
+            for alpha in range(2 * len(x) + len(y) + 3):
+                for beta in range(2 * len(y) + len(x) + 3):
+                    condition = pair_condition(bytes(alpha), bytes(beta))
+                    for target in (x, y):
+                        want = reference(x, y, target, alpha, beta)
+                        got = est.est(target, (alpha, beta))
+                        assert type(got) is float and got == want and math.copysign(1.0, got) == 1.0
+                        assert est.est(target, condition) == want
+
+    @pytest.mark.parametrize("cls, reference", CASES)
+    def test_same_errors(self, cls, reference):
+        est = cls(b"ab", b"cd")
+        with pytest.raises(ValueError, match="only evaluates its two bound strings"):
+            est.est(b"other", (0, 0))
+        with pytest.raises(ValueError, match="only evaluates its two bound strings"):
+            reference(b"ab", b"cd", b"other", 0, 0)
+        with pytest.raises(ValueError, match="too short"):
+            est.est(b"ab", b"\x00\x00")
+        with pytest.raises(ValueError, match="exceeds condition body"):
+            est.est(b"ab", b"\x00\x00\x00\x09ab")
+        assert est.est(b"ab", b"") == reference(b"ab", b"cd", b"ab", 0, 0)
+
+
 class TestBuildGrid:
     def test_prefix_gap_is_linear_ramp(self):
         x, y = b"abcdef", b"wxyz"
