@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p) and GF(p^2).
+"""Exact arithmetic in GF(p) and GF(p^2), over one set of index tables.
 
 A quadratic extension is represented on the basis {1, xi} where xi satisfies
 xi^2 = u + v*xi for the first (u, v) in scan order (v outer, u inner, both
@@ -6,15 +6,15 @@ ascending) that makes X^2 - v*X - u irreducible over GF(p).  The scan order is
 part of the public contract so that independent implementations agree on the
 same extension.
 
-Elements are kept canonically reduced: residues a0, a1 in [0, p), and a1 = 0
-for prime fields.  All operations are pure; values are safe to share across
-threads.
-
-Bulk code works on element indices instead: a0*p + a1 in GF(p^2) and a0 in
+Elements are numbered by index: a0*p + a1 for a0 + a1*xi in GF(p^2), a0 in
 GF(p), which is the order of `FieldSpec.elements()`.  `FieldSpec.tables()`
-holds the add/mul/neg/inv tables over those indices, built on first use
-from residue arithmetic on the indices, not from `Elt` objects.  Tables of
-more than `TABLE_MAX_ENTRIES` (q^2) entries are refused unbuilt.
+holds the add/mul/neg/inv tables over those indices, built on first use by
+`_index_tables` from residue arithmetic on the indices; they are the only
+definition of field arithmetic.  An `Elt` is a view (spec, index): its
+residues a0, a1 are decoded from the index, and each operation is one table
+read.  Tables of more than `TABLE_MAX_ENTRIES` (q^2) entries are refused
+unbuilt, so `Elt` arithmetic over such a field raises TooLarge.  All
+operations are pure; values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -83,40 +83,35 @@ class FieldSpec:
         return self.p**self.degree
 
     def elt(self, a0: int, a1: int = 0) -> "Elt":
-        if self.degree == 1 and a1 % self.p != 0:
-            raise SpecMismatch("prime field element cannot have an xi component")
-        return Elt(self, a0 % self.p, a1 % self.p)
+        p = self.p
+        if self.degree == 1:
+            if a1 % p != 0:
+                raise SpecMismatch("prime field element cannot have an xi component")
+            return Elt(self, a0 % p)
+        return Elt(self, a0 % p * p + a1 % p)
 
     def zero(self) -> "Elt":
-        return Elt(self, 0, 0)
+        return Elt(self, 0)
 
     def one(self) -> "Elt":
-        return Elt(self, 1, 0)
+        return Elt(self, self.size // self.p)  # p in GF(p^2), 1 in GF(p)
 
     def xi(self) -> "Elt":
         if self.degree != 2:
             raise SpecMismatch("xi exists only in quadratic extensions")
-        return Elt(self, 0, 1)
+        return Elt(self, 1)
 
     def elements(self):
         """All field elements, ascending in the (a0, a1) residue order."""
-        if self.degree == 1:
-            for a0 in range(self.p):
-                yield Elt(self, a0, 0)
-        else:
-            for a0 in range(self.p):
-                for a1 in range(self.p):
-                    yield Elt(self, a0, a1)
+        return map(self.element, range(self.size))
 
     def index(self, a: "Elt") -> int:
         """Position of `a` in `elements()`: a0*p + a1, or a0 in a prime field."""
-        return a.a0 * self.p + a.a1 if self.degree == 2 else a.a0
+        return a.index
 
     def element(self, index: int) -> "Elt":
         """The element at `index` in `elements()`; inverse of `index`."""
-        if self.degree == 2:
-            return Elt(self, *divmod(index, self.p))
-        return Elt(self, index, 0)
+        return Elt(self, index)
 
     def tables(self) -> FieldTables:
         """Index-level add/mul/neg/inv tables, built on first use."""
@@ -221,17 +216,24 @@ def field_for_size(q: int) -> FieldSpec:
 
 
 class Elt:
-    """Field element a0 + a1*xi, canonically reduced mod p."""
+    """Field element a0 + a1*xi, held as its index in `spec.elements()`."""
 
-    __slots__ = ("spec", "a0", "a1")
+    __slots__ = ("spec", "index")
 
-    def __init__(self, spec: FieldSpec, a0: int, a1: int):
+    def __init__(self, spec: FieldSpec, index: int):
         self.spec = spec
-        self.a0 = a0
-        self.a1 = a1
+        self.index = index
+
+    @property
+    def a0(self) -> int:
+        return self.index // self.spec.p if self.spec.degree == 2 else self.index
+
+    @property
+    def a1(self) -> int:
+        return self.index % self.spec.p if self.spec.degree == 2 else 0
 
     def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0
+        return not self.index
 
     def _check(self, other: "Elt") -> None:
         if self.spec != other.spec:
@@ -239,46 +241,23 @@ class Elt:
 
     def __add__(self, other: "Elt") -> "Elt":
         self._check(other)
-        p = self.spec.p
-        return Elt(self.spec, (self.a0 + other.a0) % p, (self.a1 + other.a1) % p)
+        return Elt(self.spec, self.spec.tables().add[self.index][other.index])
 
     def __sub__(self, other: "Elt") -> "Elt":
-        self._check(other)
-        p = self.spec.p
-        return Elt(self.spec, (self.a0 - other.a0) % p, (self.a1 - other.a1) % p)
+        return self + -other
 
     def __neg__(self) -> "Elt":
-        p = self.spec.p
-        return Elt(self.spec, -self.a0 % p, -self.a1 % p)
+        return Elt(self.spec, self.spec.tables().neg[self.index])
 
     def __mul__(self, other: "Elt") -> "Elt":
         self._check(other)
-        spec = self.spec
-        p = spec.p
-        a0, a1, b0, b1 = self.a0, self.a1, other.a0, other.a1
-        if a1 == 0 and b1 == 0:
-            return Elt(spec, a0 * b0 % p, 0)
-        # (a0 + a1 xi)(b0 + b1 xi) with xi^2 = u + v xi
-        cross = a1 * b1
-        return Elt(
-            spec,
-            (a0 * b0 + cross * spec.u) % p,
-            (a0 * b1 + a1 * b0 + cross * spec.v) % p,
-        )
+        return Elt(self.spec, self.spec.tables().mul[self.index][other.index])
 
     def inv(self) -> "Elt":
-        """Multiplicative inverse via the conjugate/norm identity."""
-        spec = self.spec
-        p = spec.p
-        if self.a0 == 0 and self.a1 == 0:
+        """Multiplicative inverse."""
+        if not self.index:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self.a1 == 0:
-            return Elt(spec, pow(self.a0, p - 2, p), 0)
-        # conj(a) = (a0 + a1 v) - a1 xi;  N(a) = a * conj(a) = a0^2 + v a0 a1 - u a1^2
-        a0, a1 = self.a0, self.a1
-        norm = (a0 * a0 + spec.v * a0 * a1 - spec.u * a1 * a1) % p
-        ninv = pow(norm, p - 2, p)
-        return Elt(spec, (a0 + a1 * spec.v) * ninv % p, -a1 * ninv % p)
+        return Elt(self.spec, self.spec.tables().inv[self.index])
 
     def __truediv__(self, other: "Elt") -> "Elt":
         return self * other.inv()
@@ -296,15 +275,10 @@ class Elt:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Elt)
-            and self.a0 == other.a0
-            and self.a1 == other.a1
-            and self.spec == other.spec
-        )
+        return isinstance(other, Elt) and self.index == other.index and self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.a0, self.a1))
+        return hash(self.index)
 
     def __str__(self):
         return format_elt(self)

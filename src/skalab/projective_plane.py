@@ -1,27 +1,29 @@
-"""PG(2,q): canonical points and lines, incidence, flags, affine charts.
+"""PG(2,q): points and lines as id views, incidence, flags, affine charts.
 
-Vertices are stored canonically: the first nonzero coordinate (scanning
-index 0, 1, 2) is scaled to 1, so equality of objects is equality of
-projective classes.  Points and lines share one closed-form id scheme over
-the element indices of `FieldSpec.elements()`:
+Vertices are numbered canonically: the first nonzero coordinate (scanning
+index 0, 1, 2) is scaled to 1, and points and lines share one closed-form id
+scheme over the element indices of `FieldSpec.elements()`:
 
     (0:0:1) -> 0,   (0:1:c) -> 1 + c,   (1:b:c) -> 1 + q + b*q + c,
 
 which is the order of the flattened residue tuples (a0, a1 per coordinate),
-so ids are stable across runs.  `vertex_id` and `vertex_triple` convert
-between ids and canonical triples; `class_ids` gives the ids of any nonzero
-triples of element indices.  `line_points` lists the point ids of one line
-from the field tables.  `Plane` keeps the point ids of all flags in one
-flat `array('I')`, line after line, so flag i is (i // (q+1), rows[i]);
-its tuple list `flag_ids` and dict `flag_index` are built only on first
-read.  `flag_ids_at` decodes a single flag index with `line_points`, so
-`sample_flag` needs no enumeration, and `flag_index_of` encodes one in
-closed form.  Objects are built only when a caller asks for them, by
-`flag_from_ids`, which skips the canonicalization and incidence checks of
-the public constructors.  `plane_field` refuses, before
-any field table is built, a plane of more than `PLANE_MAX_FLAGS` flags;
-`enumerate_plane` calls it, and so do the `plane` and `audit` commands before
-any other work.
+so ids are stable across runs.  `class_ids` gives the ids of any nonzero
+triples of element indices, through the field tables; `vertex_indices` and
+`vertex_triple` give the canonical triple of an id.  A `ProjPoint` or
+`ProjLine` is a view (spec, id): its constructor takes any representative
+triple of `Elt` coordinates of one field, `from_id` takes an id, and
+`coords` decodes the canonical triple, so equality of objects is equality of
+projective classes.  `incident` is the incidence form on the tables.
+`line_points` lists the point ids of one line from the field tables.
+`Plane` keeps the point ids of all flags in one flat `array('I')`, line
+after line, so flag i is (i // (q+1), rows[i]); its tuple list `flag_ids`
+and dict `flag_index` are built only on first read.  `flag_ids_at` decodes
+a single flag index with `line_points`, so `sample_flag` needs no
+enumeration, and `flag_index_of` encodes one in closed form.  Objects are
+built only when a caller asks for them, by `flag_from_ids`.  `plane_field`
+refuses, before any field table is built, a plane of more than
+`PLANE_MAX_FLAGS` flags; `enumerate_plane` calls it, and so do the `plane`
+and `audit` commands before any other work.
 
 The affine chart maps a flag (line x, point y) with x0 != 0 and y2 != 0 to
 six subfield residues (f, r, g, t, h, s) via
@@ -50,49 +52,54 @@ from .finite_field import Elt, FieldSpec, field_for_size, format_elt
 Triple = tuple[Elt, Elt, Elt]
 
 # Most flags `plane_field` accepts.  PG(2,169), with 4,884,270, fits
-# (`plane --q 169 --format csv --flags`: about 5 s and 37 MB peak RSS on a
-# 2-vCPU host); PG(2,173), with 5,237,922, is refused.
+# (`plane --q 169 --format csv --flags`: 1.5-2.0 s and about 35 MB peak RSS
+# on a 2-vCPU host); PG(2,173), with 5,237,922, is refused.
 PLANE_MAX_FLAGS = 5_000_000
 
 
-def canonicalize(raw: Triple) -> Triple:
-    """Scale a nonzero triple so its first nonzero coordinate is 1."""
-    for c in raw:
-        if not c.is_zero():
-            if c == c.spec.one():
-                return raw
-            scale = c.inv()
-            return (raw[0] * scale, raw[1] * scale, raw[2] * scale)
-    raise ZeroVector("(0:0:0) is not a projective class")
+class _Vertex:
+    """A projective class, held as (spec, id)."""
 
-
-class _ProjTriple:
-    __slots__ = ("coords",)
+    __slots__ = ("spec", "id")
 
     def __init__(self, coords: Triple):
-        self.coords = canonicalize(coords)
+        """The class of a nonzero triple of elements of one field."""
+        x0, x1, x2 = coords
+        spec = x0.spec
+        if x1.spec != spec or x2.spec != spec:
+            raise SpecMismatch("coordinates live in different fields")
+        [self.id] = class_ids(spec, [(x0.index, x1.index, x2.index)])
+        self.spec = spec
+
+    @classmethod
+    def from_id(cls, spec: FieldSpec, vid: int):
+        """The vertex of id `vid`, 0 <= vid < q^2+q+1."""
+        vertex = cls.__new__(cls)
+        vertex.spec, vertex.id = spec, vid
+        return vertex
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
+    def coords(self) -> Triple:
+        """The canonical triple: first nonzero coordinate 1."""
+        return vertex_triple(self.spec, self.id)
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.coords == other.coords
+        return type(self) is type(other) and self.id == other.id and self.spec == other.spec
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, self.spec, self.id))
 
     def __repr__(self):
         body = ":".join(format_elt(c) for c in self.coords)
         return f"{type(self).__name__}({body})"
 
 
-class ProjPoint(_ProjTriple):
-    """Canonical projective point (y0 : y1 : y2)."""
+class ProjPoint(_Vertex):
+    """Projective point (y0 : y1 : y2)."""
 
 
-class ProjLine(_ProjTriple):
-    """Canonical projective line (x0 : x1 : x2)."""
+class ProjLine(_Vertex):
+    """Projective line (x0 : x1 : x2)."""
 
 
 class Flag:
@@ -138,11 +145,13 @@ class ChartCoords:
 
 def incident(line: ProjLine, point: ProjPoint) -> bool:
     """True iff x0*y0 + x1*y1 + x2*y2 = 0."""
-    if line.spec != point.spec:
+    spec = line.spec
+    if spec != point.spec:
         raise SpecMismatch("line and point live in different fields")
-    x, y = line.coords, point.coords
-    acc = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-    return acc.is_zero()
+    add, mul, _, _ = spec.tables()
+    x0, x1, x2 = vertex_indices(spec, line.id)
+    y0, y1, y2 = vertex_indices(spec, point.id)
+    return not add[add[mul[x0][y0]][mul[x1][y1]]][mul[x2][y2]]
 
 
 def class_ids(spec: FieldSpec, triples) -> list[int]:
@@ -167,13 +176,6 @@ def class_ids(spec: FieldSpec, triples) -> list[int]:
     return ids
 
 
-def vertex_id(coords: Triple) -> int:
-    """Closed-form id of the projective class of a triple of elements."""
-    spec = coords[0].spec
-    [vid] = class_ids(spec, [tuple(map(spec.index, coords))])
-    return vid
-
-
 def vertex_indices(spec: FieldSpec, vid: int) -> tuple[int, int, int]:
     """Canonical triple of a vertex id, as element indices."""
     q = spec.size
@@ -187,7 +189,7 @@ def vertex_indices(spec: FieldSpec, vid: int) -> tuple[int, int, int]:
 
 
 def vertex_triple(spec: FieldSpec, vid: int) -> Triple:
-    """Canonical triple of a vertex id; inverse of `vertex_id`."""
+    """Canonical triple of a vertex id, as elements."""
     a, b, c = vertex_indices(spec, vid)
     return (spec.element(a), spec.element(b), spec.element(c))
 
@@ -263,15 +265,8 @@ def flag_index_of(q: int, lid: int, pid: int) -> int:
 
 
 def flag_from_ids(spec: FieldSpec, lid: int, pid: int) -> Flag:
-    """The flag of an incident (line id, point id) pair, built unchecked:
-    `vertex_triple` is canonical and the ids come from the plane."""
-    line = object.__new__(ProjLine)
-    line.coords = vertex_triple(spec, lid)
-    point = object.__new__(ProjPoint)
-    point.coords = vertex_triple(spec, pid)
-    flag = object.__new__(Flag)
-    flag.line, flag.point = line, point
-    return flag
+    """The flag of an incident (line id, point id) pair."""
+    return Flag(ProjLine.from_id(spec, lid), ProjPoint.from_id(spec, pid))
 
 
 def flag_rows(spec: FieldSpec) -> array:
@@ -310,11 +305,11 @@ class Plane:
 
     @cached_property
     def points(self) -> list[ProjPoint]:
-        return [ProjPoint(vertex_triple(self.spec, i)) for i in range(self._n_vertices())]
+        return [ProjPoint.from_id(self.spec, i) for i in range(self._n_vertices())]
 
     @cached_property
     def lines(self) -> list[ProjLine]:
-        return [ProjLine(vertex_triple(self.spec, i)) for i in range(self._n_vertices())]
+        return [ProjLine.from_id(self.spec, i) for i in range(self._n_vertices())]
 
     @cached_property
     def point_id(self) -> dict[ProjPoint, int]:
@@ -336,7 +331,9 @@ class Plane:
 
     def index_of(self, flag: Flag) -> int:
         """Position of a flag in `flag_ids`."""
-        return self.flag_index[(vertex_id(flag.line.coords), vertex_id(flag.point.coords))]
+        if flag.line.spec != self.spec:
+            raise SpecMismatch("flag and plane fields differ")
+        return flag_index_of(self.q, flag.line.id, flag.point.id)
 
     def counts(self) -> tuple[int, int, int]:
         n = self._n_vertices()
@@ -366,10 +363,8 @@ def to_chart(flag: Flag) -> ChartCoords:
     spec = flag.line.spec
     if spec.degree != 2:
         raise UnsupportedField("the chart needs a quadratic extension field")
-    index = spec.index
-    x0, x1, _ = flag.line.coords
-    y0, y1, y2 = flag.point.coords
-    x0, x1, y0, y1, y2 = index(x0), index(x1), index(y0), index(y1), index(y2)
+    x0, x1, _ = vertex_indices(spec, flag.line.id)
+    y0, y1, y2 = vertex_indices(spec, flag.point.id)
     if not x0 or not y2:
         raise ChartInvalid("flag has x0 = 0 or y2 = 0")
     _, mul, _, inv = spec.tables()
@@ -388,18 +383,6 @@ def chart_u_prime(p: int, u: int, f: int, r: int, g: int, h: int, s: int) -> int
 def chart_v_prime(p: int, v: int, f: int, r: int, t: int, h: int, s: int) -> int:
     """v' of -x2/x0 = u' + v'*xi for a chart tuple: t + f*s + h*r + r*s*v (mod p)."""
     return (t + f * s + h * r + r * s * v) % p
-
-
-def from_chart(coords: ChartCoords) -> Flag:
-    """Rebuild the canonical flag determined by six subfield parameters."""
-    spec = coords.spec
-    p, u, v = spec.p, spec.u, spec.v
-    f, r, g, t, h, s = coords.as_tuple()
-    one = spec.one()
-    minus_x2 = spec.elt(chart_u_prime(p, u, f, r, g, h, s), chart_v_prime(p, v, f, r, t, h, s))
-    line = ProjLine((one, spec.elt(f, r), -minus_x2))
-    point = ProjPoint((spec.elt(g, t), spec.elt(h, s), one))
-    return Flag(line, point)
 
 
 def sample_flag(q: int, seed: int) -> Flag:

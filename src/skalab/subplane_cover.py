@@ -18,7 +18,9 @@ tables and returns the canonical ids of the images.  The cover scan sends,
 per map, the p^2+p+1 Baer point ids and line ids to their image ids; each
 Baer flag (lid, pid) then maps to its flag index by the closed form
 `flag_index_of`, so the host plane is never enumerated.  The object-level
-`apply` runs on the same id path.  `COVER_MAX_WORK` bounds the work
+`apply` runs on the same id path: it reads the index triples of a flag's
+line and point ids by `vertex_indices` and builds the image flag from the
+image ids.  `COVER_MAX_WORK` bounds the work
 `build_cover` accepts: the flag images of the sampled maps plus the flags
 of the host plane, which the scan marks.
 """
@@ -155,8 +157,8 @@ def apply(m: Automorphism, flag: Flag) -> Flag:
     if spec != flag.line.spec:
         raise SpecMismatch("automorphism and flag fields differ")
     matrix, inverse_transpose = m.index_form()
-    [lid] = _image_ids(spec, inverse_transpose, [tuple(map(spec.index, flag.line.coords))])
-    [pid] = _image_ids(spec, matrix, [tuple(map(spec.index, flag.point.coords))])
+    [lid] = _image_ids(spec, inverse_transpose, [vertex_indices(spec, flag.line.id)])
+    [pid] = _image_ids(spec, matrix, [vertex_indices(spec, flag.point.id)])
     return flag_from_ids(spec, lid, pid)
 
 

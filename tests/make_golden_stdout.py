@@ -36,6 +36,10 @@ SKA_AUDIT_QS = ("4", "9", "25", "49", "121", "169", "289", "7", "6")
 # per q, the first seeds whose sessions end chart_invalid and degenerate_h
 # (seeds 0-2 all end ok)
 SKA_RUN_SEEDS = {"9": ("8", "4"), "25": ("5", "10"), "49": ("31", "6")}
+# `ska run` only, appended last: characteristic 2 (u = v = 1), two larger
+# fields and GF(961), the largest whose tables fit the table budget; then
+# GF(1369), refused by it
+SKA_RUN_EXTRA_QS = ("4", "121", "169", "961")
 
 # `halve` inputs, written by `write_halve_inputs`: a linear ramp, word text,
 # two short random strings whose zlib image misses the target, a 64 + 40
@@ -109,6 +113,9 @@ def command_lines() -> list[list[str]]:
     for q in LARGE_FLAG_QS:
         for fmt in ("json", "csv"):
             argvs.append(["plane", "--q", str(q), "--format", fmt, "--flags"])
+    for q in SKA_RUN_EXTRA_QS:
+        argvs.append(["ska", "run", "--q", q, "--seed", "0"])
+    argvs.append(["ska", "run", "--q", "1369"])
     return argvs
 
 

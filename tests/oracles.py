@@ -32,6 +32,7 @@ from skalab.errors import (
     TargetOnBoundary,
     TooLarge,
     UnsupportedField,
+    ZeroVector,
 )
 from skalab.finite_field import Elt, FieldSpec, FieldTables, field_for_size
 from skalab.halving_walk import (
@@ -51,6 +52,7 @@ from skalab.projective_plane import (
     ProjLine,
     ProjPoint,
     chart_u_prime,
+    chart_v_prime,
     enumerate_plane,
     vertex_triple,
 )
@@ -118,35 +120,87 @@ def parse_elt(spec: FieldSpec, text: str) -> Elt:
     return spec.elt(a0, a1)
 
 
-def field_tables_elt(spec: FieldSpec) -> FieldTables:
-    """The index-level add/mul/neg/inv tables, from `Elt` arithmetic."""
-    elts = list(spec.elements())
-    index = spec.index
-    add = [[index(a + b) for b in elts] for a in elts]
-    mul = [[index(a * b) for b in elts] for a in elts]
-    neg = [index(-a) for a in elts]
-    inv = [None] + [index(a.inv()) for a in elts[1:]]
+def residue_mul(spec: FieldSpec, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(a0 + a1 xi)(b0 + b1 xi) with xi^2 = u + v xi, on residue pairs.
+
+    The formula `Elt.__mul__` used before elements read the field tables.
+    """
+    p = spec.p
+    (a0, a1), (b0, b1) = a, b
+    cross = a1 * b1
+    return ((a0 * b0 + cross * spec.u) % p, (a0 * b1 + a1 * b0 + cross * spec.v) % p)
+
+
+def residue_inv(spec: FieldSpec, a: tuple[int, int]) -> tuple[int, int]:
+    """Inverse of a nonzero residue pair by the conjugate/norm identity.
+
+    conj(a) = (a0 + a1 v) - a1 xi and N(a) = a * conj(a) = a0^2 + v a0 a1 -
+    u a1^2, a prime-field residue; the formula of the former `Elt.inv`.
+    """
+    p = spec.p
+    a0, a1 = a
+    norm = (a0 * a0 + spec.v * a0 * a1 - spec.u * a1 * a1) % p
+    ninv = pow(norm, p - 2, p)
+    return ((a0 + a1 * spec.v) * ninv % p, -a1 * ninv % p)
+
+
+def field_tables_residues(spec: FieldSpec) -> FieldTables:
+    """The index-level add/mul/neg/inv tables, from the residue formulas."""
+    p = spec.p
+    pairs = [divmod(i, p) if spec.degree == 2 else (i, 0) for i in range(spec.size)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    add = [[index[(a0 + b0) % p, (a1 + b1) % p] for b0, b1 in pairs] for a0, a1 in pairs]
+    mul = [[index[residue_mul(spec, a, b)] for b in pairs] for a in pairs]
+    neg = [index[-a0 % p, -a1 % p] for a0, a1 in pairs]
+    inv = [None] + [index[residue_inv(spec, a)] for a in pairs[1:]]
     return FieldTables(add, mul, neg, inv)
 
 
 # -- plane enumeration on objects ---------------------------------------------
 
-def residue_key(vertex) -> tuple[int, ...]:
-    """The flattened residues (a0, a1 per coordinate) of a point or line."""
-    c0, c1, c2 = vertex.coords
+def canonicalize(raw):
+    """Scale a nonzero triple of elements so its first nonzero coordinate is 1."""
+    for c in raw:
+        if not c.is_zero():
+            if c == c.spec.one():
+                return raw
+            scale = c.inv()
+            return (raw[0] * scale, raw[1] * scale, raw[2] * scale)
+    raise ZeroVector("(0:0:0) is not a projective class")
+
+
+def vertex_id(coords) -> int:
+    """Closed-form id of the class of a triple of elements, by `canonicalize`:
+    (0:0:1) -> 0, (0:1:c) -> 1 + c, (1:b:c) -> 1 + q + b*q + c."""
+    q = coords[0].spec.size
+    c0, c1, c2 = canonicalize(coords)
+    if not c0.is_zero():
+        return 1 + q + c1.index * q + c2.index
+    return 1 + c2.index if not c1.is_zero() else 0
+
+
+def residues(coords) -> tuple[int, ...]:
+    """The flattened residues (a0, a1 per coordinate) of a triple of elements."""
+    c0, c1, c2 = coords
     return (c0.a0, c0.a1, c1.a0, c1.a1, c2.a0, c2.a1)
 
 
-def canonical_triples(spec, cls):
-    """All canonical triples: (0:0:1), (0:1:c), (1:b:c), sorted by residues."""
+def residue_key(vertex) -> tuple[int, ...]:
+    """The flattened residues (a0, a1 per coordinate) of a point or line."""
+    return residues(vertex.coords)
+
+
+def canonical_triples(spec) -> list:
+    """All canonical triples: (0:0:1), (0:1:c), (1:b:c), sorted by residues,
+    which is id order."""
     zero, one = spec.zero(), spec.one()
-    items = [cls((zero, zero, one))]
+    items = [(zero, zero, one)]
     for c in spec.elements():
-        items.append(cls((zero, one, c)))
+        items.append((zero, one, c))
     for b in spec.elements():
         for c in spec.elements():
-            items.append(cls((one, b, c)))
-    items.sort(key=residue_key)
+            items.append((one, b, c))
+    items.sort(key=residues)
     return items
 
 
@@ -162,11 +216,30 @@ def flag_from_json(spec, data: dict) -> Flag:
     return Flag(line, point)
 
 
+def from_chart(coords: ChartCoords) -> Flag:
+    """Rebuild the canonical flag determined by six subfield parameters."""
+    spec = coords.spec
+    p, u, v = spec.p, spec.u, spec.v
+    f, r, g, t, h, s = coords.as_tuple()
+    one = spec.one()
+    minus_x2 = spec.elt(chart_u_prime(p, u, f, r, g, h, s), chart_v_prime(p, v, f, r, t, h, s))
+    line = ProjLine((one, spec.elt(f, r), -minus_x2))
+    point = ProjPoint((spec.elt(g, t), spec.elt(h, s), one))
+    return Flag(line, point)
+
+
+def incident_elt(line_coords, point_coords) -> bool:
+    """x0*y0 + x1*y1 + x2*y2 = 0 by `Elt` arithmetic."""
+    x, y = line_coords, point_coords
+    return (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]).is_zero()
+
+
 def points_on_line(line):
-    """The q+1 points of a line, via a basis of the incidence-form kernel."""
-    spec = line.spec
+    """Triples naming the q+1 points of a line's coordinates, from a basis
+    of the incidence-form kernel."""
+    spec = line[0].spec
     zero, one = spec.zero(), spec.one()
-    x0, x1, x2 = line.coords
+    x0, x1, x2 = line
     if not x0.is_zero():
         inv0 = x0.inv()
         u = (-(x1 * inv0), one, zero)
@@ -178,21 +251,19 @@ def points_on_line(line):
     else:
         u = (one, zero, zero)
         w = (zero, one, zero)
-    pts = [ProjPoint(w)]
+    pts = [w]
     for t in spec.elements():
-        pts.append(ProjPoint((u[0] + t * w[0], u[1] + t * w[1], u[2] + t * w[2])))
+        pts.append((u[0] + t * w[0], u[1] + t * w[1], u[2] + t * w[2]))
     return pts
 
 
 def object_flag_ids(spec) -> list[tuple[int, int]]:
-    """Flags as (line id, point id), ids from the residue sort of the objects."""
-    points = canonical_triples(spec, ProjPoint)
-    lines = canonical_triples(spec, ProjLine)
-    point_id = {pt: i for i, pt in enumerate(points)}
-    pairs = []
-    for lid, line in enumerate(lines):
-        for pt in points_on_line(line):
-            pairs.append((lid, point_id[pt]))
+    """Flags as (line id, point id), ids from the residue sort of the
+    canonical triples and points canonicalized by `canonicalize`."""
+    triples = canonical_triples(spec)
+    vid = {t: i for i, t in enumerate(triples)}
+    pairs = [(lid, vid[canonicalize(pt)])
+             for lid, line in enumerate(triples) for pt in points_on_line(line)]
     pairs.sort()
     return pairs
 

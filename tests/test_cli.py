@@ -13,8 +13,8 @@ import pytest
 import skalab.halving_walk  # noqa: F401
 import skalab.ska_protocol  # noqa: F401
 import skalab.subplane_cover  # noqa: F401
-from skalab import projective_plane
-from skalab.cli import main
+from skalab import finite_field, projective_plane
+from skalab.cli import ESTIMATOR_IDS, main
 from skalab.finite_field import TABLE_MAX_ENTRIES, FieldSpec
 from skalab.projective_plane import PLANE_MAX_FLAGS, flag_count
 
@@ -491,9 +491,10 @@ def test_bad_input_exits_2(argv, config, env, tmp_path, monkeypatch, capsys):
 def no_over_budget_work(monkeypatch):
     """Fail, instead of allocating, if a table or plane past its budget starts."""
     elements, plane_init = FieldSpec.elements, projective_plane.Plane.__init__
+    index_tables = finite_field._index_tables
     flag_rows = projective_plane.flag_rows
 
-    def guarded_elements(self):  # the first step of building the field tables
+    def guarded_elements(self):
         if self.size ** 2 > TABLE_MAX_ENTRIES:
             raise AssertionError(f"tables of GF({self.size}) started")
         return elements(self)
@@ -508,7 +509,13 @@ def no_over_budget_work(monkeypatch):
             raise AssertionError(f"flag array of PG(2,{spec.size}) started")
         return flag_rows(spec)
 
+    def guarded_tables(p, degree, u, v):
+        if p ** (2 * degree) > TABLE_MAX_ENTRIES:
+            raise AssertionError(f"tables of GF({p ** degree}) started")
+        return index_tables(p, degree, u, v)
+
     monkeypatch.setattr(FieldSpec, "elements", guarded_elements)
+    monkeypatch.setattr(finite_field, "_index_tables", guarded_tables)
     monkeypatch.setattr(projective_plane.Plane, "__init__", guarded_plane)
     monkeypatch.setattr(projective_plane, "flag_rows", guarded_rows)
     monkeypatch.delenv("SKALAB_SEED", raising=False)
@@ -585,6 +592,79 @@ def test_seeded_cli_arguments_exit_cleanly(no_over_budget_work, capsys):
             assert code == 2, argv
         codes.add(code)
     assert codes == {0, 2}
+
+
+# cheap commands that take --config, --out and SKALAB_SEED
+FILE_BASES = (["plane", "--q=3"], ["audit", "--q=3", "--baer"], ["ska", "run", "--q=9"],
+              ["cover", "--q=9", "--c=0.05"])
+# (kind, contents); None writes nothing, b"/" makes a directory
+CONFIGS = (("valid", b"# defaults\nseed = 2\n\nformat=csv\n"), ("valid", b""),
+           ("malformed", b"seed 2\n"), ("malformed", b"seed=two\n"),
+           ("malformed", b"format=xml\n"), ("read by cover only", b"c=-1\niters=-3\n"),
+           ("non-utf-8", b"seed=\xff\xfe\n"), ("non-utf-8", b"\x80format=csv\n"),
+           ("directory", b"/"), ("missing", None))
+SEED_ENV = ("0", "7", "-1", " 5 ", str(2**70), "", "abc", "1e3", "0x10")
+OUT_TARGETS = ("file", "-", "directory", "missing directory")
+HALVE_SOURCES = ("small", "small", "small", "empty", "missing", "directory")
+
+
+def _write(path, contents):
+    if contents == b"/":
+        path.mkdir()
+    elif contents is not None:
+        path.write_bytes(contents)
+    return str(path)
+
+
+def _draw_file_argv(rng: random.Random, root) -> tuple[list[str], str, str | None]:
+    """One seeded command line over files, config and environment: (argv,
+    what it varies, SKALAB_SEED or None).  Paths are new names under `root`."""
+    name = f"f{rng.randrange(10**9)}"
+    family = rng.choice(("halve", "config", "seed", "out"))
+    if family == "halve":
+        paths = []
+        for axis in "xy":
+            contents = {"small": rng.randbytes(rng.randint(1, 8)), "empty": b"",
+                        "missing": None, "directory": b"/"}[rng.choice(HALVE_SOURCES)]
+            paths.append(_write(root / f"{name}{axis}", contents))
+        argv = ["halve", "--x-file", paths[0], "--y-file", paths[1]]
+        return argv + [f"--estimator={rng.choice(ESTIMATOR_IDS)}"], family, None
+    argv = list(rng.choice(FILE_BASES))
+    if family == "config":
+        kind, contents = rng.choice(CONFIGS)
+        return argv + ["--config", _write(root / name, contents)], kind, None
+    if family == "seed":
+        return argv, family, rng.choice(SEED_ENV)
+    target = rng.choice(OUT_TARGETS)
+    out = {"file": root / name, "-": "-", "directory": root / name,
+           "missing directory": root / name / "out"}[target]
+    if target == "directory":
+        out.mkdir()
+    return argv + ["--out", str(out)], target, None
+
+
+def test_seeded_files_config_and_environment_exit_cleanly(
+        no_over_budget_work, capsys, monkeypatch, tmp_path):
+    rng = random.Random("cli:files")
+    seen = set()
+    for _ in range(120):
+        argv, kind, seed_env = _draw_file_argv(rng, tmp_path)
+        if seed_env is None:
+            monkeypatch.delenv("SKALAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SKALAB_SEED", seed_env)
+        code, out, err = _run_in_process(argv, capsys)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "" and err.splitlines()[-1].startswith("skalab"), argv
+        if kind in ("malformed", "non-utf-8", "directory", "missing", "missing directory"):
+            assert code == 2, argv
+        if kind == "file" and code == 0:
+            assert out == "" and os.path.getsize(argv[-1]) > 0, argv
+        seen.add((argv[0], code))
+    assert {code for _, code in seen} == {0, 2}
+    assert {"halve", "plane", "audit", "ska", "cover"} == {command for command, _ in seen}
 
 
 def test_version_loads_no_command_module():

@@ -42,15 +42,15 @@ from skalab.projective_plane import (
     ChartCoords,
     ProjLine,
     ProjPoint,
-    canonicalize,
     chart_u_prime,
     chart_v_prime,
     enumerate_plane,
     flag_ids_at,
     flag_index_of,
+    flag_to_json,
+    incident,
     sample_flag,
     to_chart,
-    vertex_id,
     vertex_triple,
 )
 from skalab.ska_protocol import alice_m2, run_session, secrecy_audit
@@ -65,7 +65,8 @@ from skalab.subplane_cover import (
 )
 
 SUPPORTED_UP_TO_49 = (2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49)
-PLANE_QS = [q for q in SUPPORTED_UP_TO_49 if q <= 25] + [49]
+SUPPORTED_UP_TO_25 = [q for q in SUPPORTED_UP_TO_49 if q <= 25]
+PLANE_QS = SUPPORTED_UP_TO_25 + [49]
 
 
 PRIMES_TO_200 = [p for p in range(2, 201) if oracles.is_prime_trial(p)]
@@ -99,16 +100,25 @@ class TestFieldResolution:
 class TestFieldTables:
     @pytest.mark.parametrize("q", SUPPORTED_UP_TO_49)
     def test_tables_match_elt(self, q):
+        # `Elt` reads the tables; its residues and results against the
+        # residue formulas
         spec = field_for_size(q)
         add, mul, neg, inv = spec.tables()
         elts = list(spec.elements())
+        pairs = [oracles.decompose(a) for a in elts]
+        assert pairs == sorted(pairs) and len(set(pairs)) == q
+        assert [spec.elt(*pair) for pair in pairs] == elts
         assert [spec.index(a) for a in elts] == list(range(q))
         assert [spec.element(i) for i in range(q)] == elts
         for i, a in enumerate(elts):
             assert neg[i] == spec.index(-a)
             assert inv[i] == (None if i == 0 else spec.index(a.inv()))
+            if i:
+                assert oracles.decompose(a.inv()) == oracles.residue_inv(spec, pairs[i])
             assert add[i] == [spec.index(a + b) for b in elts]
             assert mul[i] == [spec.index(a * b) for b in elts]
+            assert [oracles.decompose(a * b) for b in elts] == \
+                [oracles.residue_mul(spec, pairs[i], pair) for pair in pairs]
 
     def test_built_once_per_spec(self):
         spec = field_for_size(25)
@@ -120,17 +130,74 @@ class TestVertexIds:
     def test_round_trip_and_residue_order(self, q):
         spec = field_for_size(q)
         triples = [vertex_triple(spec, i) for i in range(q * q + q + 1)]
-        assert all(canonicalize(t) == t for t in triples)
-        assert [vertex_id(t) for t in triples] == list(range(len(triples)))
-        by_residues = oracles.canonical_triples(spec, ProjPoint)
-        assert [pt.coords for pt in by_residues] == triples
+        assert all(oracles.canonicalize(t) == t for t in triples)
+        assert [oracles.vertex_id(t) for t in triples] == list(range(len(triples)))
+        assert oracles.canonical_triples(spec) == triples
 
     def test_object_lookups_agree_with_ids(self):
         plane = enumerate_plane(9)
-        assert all(plane.point_id[pt] == vertex_id(pt.coords) for pt in plane.points)
-        assert all(plane.line_id[ln] == vertex_id(ln.coords) for ln in plane.lines)
+        assert all(plane.point_id[pt] == oracles.vertex_id(pt.coords) for pt in plane.points)
+        assert all(plane.line_id[ln] == oracles.vertex_id(ln.coords) for ln in plane.lines)
         for i in range(0, len(plane.flag_ids), 7):
             assert plane.index_of(plane.flag(i)) == i
+
+
+class TestIdViews:
+    """Points, lines and flags, views over ids, against the `Elt`-coordinate
+    path: canonical triples in residue order, `Elt` arithmetic and the
+    constructors on coordinates."""
+
+    @pytest.mark.parametrize("q", SUPPORTED_UP_TO_25)
+    def test_vertices_match_canonical_triples(self, q):
+        spec = field_for_size(q)
+        plane = enumerate_plane(q)
+        triples = oracles.canonical_triples(spec)
+        nonzero = list(spec.elements())[1:]
+        rng = random.Random(f"views:{q}")
+        for cls, views in ((ProjPoint, plane.points), (ProjLine, plane.lines)):
+            assert [view.coords for view in views] == triples
+            for vid, (view, coords) in enumerate(zip(views, triples)):
+                scale = rng.choice(nonzero)
+                built = cls(tuple(scale * c for c in coords))  # another representative
+                assert (built.id, built.coords) == (vid, coords)
+                assert built == view and hash(built) == hash(view)
+                assert oracles.vertex_id(built.coords) == vid
+
+    @pytest.mark.parametrize("q", SUPPORTED_UP_TO_25)
+    def test_incident_matches_elt_dot_product(self, q):
+        plane = enumerate_plane(q)
+        triples = oracles.canonical_triples(plane.spec)
+        n = len(triples)
+        rng = random.Random(f"incident:{q}")
+        pairs = itertools.product(range(n), repeat=2) if n <= 57 else \
+            [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+        hits = 0
+        for lid, pid in pairs:
+            got = incident(plane.lines[lid], plane.points[pid])
+            assert got == oracles.incident_elt(triples[lid], triples[pid])
+            hits += got
+        assert hits
+
+    @pytest.mark.parametrize("q", SUPPORTED_UP_TO_25)
+    def test_flags_match_elt_path(self, q):
+        plane = enumerate_plane(q)
+        spec = plane.spec
+        triples = oracles.canonical_triples(spec)
+        maps = sample_automorphisms(q, 3, seed=q)
+        for i in range(0, len(plane.flag_ids), 1 + len(plane.flag_ids) // 600):
+            lid, pid = plane.flag_ids[i]
+            flag = plane.flag(i)
+            want = oracles.flag_from_ids_checked(spec, lid, pid)
+            assert flag == want and hash(flag) == hash(want)
+            assert (flag.line.coords, flag.point.coords) == (triples[lid], triples[pid])
+            assert plane.index_of(want) == i == plane.flag_index[
+                oracles.vertex_id(triples[lid]), oracles.vertex_id(triples[pid])]
+            data = flag_to_json(flag)
+            assert [tuple(oracles.parse_elt(spec, s) for s in data[key])
+                    for key in ("line", "point")] == [triples[lid], triples[pid]]
+            assert _outcome(to_chart, flag) == _outcome(oracles.to_chart_elt, want)
+            m = maps[i % 3]
+            assert apply(m, flag) == oracles.apply_elt(m, want)
 
 
 class TestPlaneEnumeration:

@@ -81,6 +81,16 @@ class TestTableBudget:
             build_field_spec(p, degree).tables()
 
 
+    def test_elements_past_the_budget(self):
+        # elements and their residues need no table; arithmetic does
+        f = field_for_size(1009)
+        a = f.elt(1008)
+        assert (oracles.decompose(a), format_elt(a)) == ((1008, 0), "1008")
+        for op in (lambda: a + a, lambda: a * a, lambda: -a, lambda: a.inv()):
+            with pytest.raises(TooLarge, match="table budget"):
+                op()
+
+
 class TestArith:
     def test_prime_field_mul(self):
         f3 = build_field_spec(3, 1)
@@ -139,7 +149,7 @@ class TestIndexTables:
     @pytest.mark.parametrize("q", SMALL_FIELD_SIZES)
     def test_tables_match_elt_arithmetic(self, q):
         spec = field_for_size(q)
-        assert spec.tables() == oracles.field_tables_elt(spec)
+        assert spec.tables() == oracles.field_tables_residues(spec)
 
     def test_one_int_object_per_index(self):
         # GF(289) indices pass the small-int cache: entries share 289 objects

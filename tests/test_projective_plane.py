@@ -5,19 +5,17 @@ import pytest
 
 import oracles
 from skalab import projective_plane
-from skalab.errors import ChartInvalid, TooLarge, UnsupportedField, ZeroVector
-from skalab.finite_field import FieldSpec, build_field_spec
+from skalab.errors import ChartInvalid, SpecMismatch, TooLarge, UnsupportedField, ZeroVector
+from skalab.finite_field import FieldSpec, build_field_spec, field_for_size
 from skalab.projective_plane import (
     PLANE_MAX_FLAGS,
     ChartCoords,
     Flag,
     ProjLine,
     ProjPoint,
-    canonicalize,
     enumerate_plane,
     flag_count,
     flag_to_json,
-    from_chart,
     incident,
     sample_flag,
     to_chart,
@@ -38,16 +36,16 @@ def worked_flag():
 class TestCanonicalize:
     def test_scale_example(self):
         raw = (F3.zero(), F3.elt(2), F3.one())
-        got = canonicalize(raw)
+        got = oracles.canonicalize(raw)
         assert [oracles.decompose(c) for c in got] == [(0, 0), (1, 0), (2, 0)]
 
     def test_already_canonical(self):
         raw = (F3.one(), F3.zero(), F3.zero())
-        assert canonicalize(raw) == raw
+        assert oracles.canonicalize(raw) == raw
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
-            canonicalize((F3.zero(), F3.zero(), F3.zero()))
+            oracles.canonicalize((F3.zero(), F3.zero(), F3.zero()))
 
     def test_idempotent_and_scale_invariant_exhaustive_q3(self):
         elems = list(F3.elements())
@@ -57,11 +55,11 @@ class TestCanonicalize:
                 for c2 in elems:
                     if c0.is_zero() and c1.is_zero() and c2.is_zero():
                         continue
-                    canon = canonicalize((c0, c1, c2))
-                    assert canonicalize(canon) == canon
+                    canon = oracles.canonicalize((c0, c1, c2))
+                    assert oracles.canonicalize(canon) == canon
                     for lam in nonzero:
                         scaled = (lam * c0, lam * c1, lam * c2)
-                        assert canonicalize(scaled) == canon
+                        assert oracles.canonicalize(scaled) == canon
 
     def test_scale_invariant_sampled_q9(self):
         rng = random.Random(0)
@@ -72,7 +70,7 @@ class TestCanonicalize:
             if all(c.is_zero() for c in raw):
                 continue
             lam = rng.choice(nonzero)
-            assert canonicalize(tuple(lam * c for c in raw)) == canonicalize(raw)
+            assert oracles.canonicalize(tuple(lam * c for c in raw)) == oracles.canonicalize(raw)
 
 
 class TestIncident:
@@ -84,6 +82,41 @@ class TestIncident:
     def test_characteristic_sum(self):
         ones = (F3.one(), F3.one(), F3.one())
         assert incident(ProjLine(ones), ProjPoint(ones))
+
+
+class TestConstructors:
+    F25 = field_for_size(25)
+
+    @pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+    def test_coordinates_of_different_fields_refused(self, cls):
+        # (1, 1) names a GF(9) id by accident; (4, 4) has no GF(9) index
+        for middle in (self.F25.elt(1), self.F25.elt(4, 4)):
+            with pytest.raises(SpecMismatch):
+                cls((F9.one(), middle, F9.zero()))
+        with pytest.raises(SpecMismatch):
+            cls((F3.one(), F3.zero(), F9.zero()))
+
+    @pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+    def test_zero_vector_refused(self, cls):
+        with pytest.raises(ZeroVector):
+            cls((F9.zero(), F9.zero(), F9.zero()))
+
+    def test_index_of_refuses_a_flag_of_another_field(self):
+        plane = enumerate_plane(9)
+        for other in (enumerate_plane(25), enumerate_plane(3)):
+            with pytest.raises(SpecMismatch):
+                plane.index_of(other.flag(37))
+
+    def test_same_id_in_other_fields_or_roles_differs(self):
+        point, line = ProjPoint.from_id(F9, 5), ProjLine.from_id(F9, 5)
+        assert point != line and point != ProjPoint.from_id(self.F25, 5)
+        assert point == ProjPoint(tuple(F9.elt(2) * c for c in point.coords))
+
+    def test_over_the_table_budget(self):
+        # the constructors read the field tables, which GF(1009) has not
+        f = field_for_size(1009)
+        with pytest.raises(TooLarge, match="table budget"):
+            ProjPoint((f.one(), f.zero(), f.zero()))
 
 
 class TestEnumerate:
@@ -170,16 +203,16 @@ class TestChart:
             except ChartInvalid:
                 continue
             valid += 1
-            assert from_chart(chart) == flag
+            assert oracles.from_chart(chart) == flag
         # q^3 flags fall in the chart; the rest have x0 = 0 or y2 = 0
         assert valid == 729
 
     def test_from_chart_worked_example(self):
-        got = from_chart(ChartCoords(F9, 1, 2, 0, 1, 2, 1))
+        got = oracles.from_chart(ChartCoords(F9, 1, 2, 0, 1, 2, 1))
         assert got == worked_flag()
 
     def test_from_chart_zero_tuple(self):
-        got = from_chart(ChartCoords(F9, 0, 0, 0, 0, 0, 0))
+        got = oracles.from_chart(ChartCoords(F9, 0, 0, 0, 0, 0, 0))
         assert oracles.residue_key(got.line) == (1, 0, 0, 0, 0, 0)
         assert oracles.residue_key(got.point) == (0, 0, 0, 0, 1, 0)
 
@@ -191,7 +224,7 @@ class TestChart:
                     for t in range(3):
                         for h in range(3):
                             for s in range(3):
-                                flag = from_chart(ChartCoords(F9, f, r, g, t, h, s))
+                                flag = oracles.from_chart(ChartCoords(F9, f, r, g, t, h, s))
                                 to_chart(flag)  # must not raise
                                 images.add(flag)
         assert len(images) == 3**6
